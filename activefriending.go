@@ -137,7 +137,6 @@ package activefriending
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -242,128 +241,27 @@ func (p *Problem) Target() Node { return p.in.T() }
 // Graph returns the underlying graph.
 func (p *Problem) Graph() *Graph { return p.in.Graph() }
 
-// Options configures Solve. The zero value solves with the paper's
+// Options configures Solve; the zero value solves with the paper's
 // experimental defaults (α = 0.1, ε = 0.01, N = 100000) in the practical
-// sampling regime.
-type Options struct {
-	// Alpha is the required fraction of p_max (default 0.1).
-	Alpha float64
-	// Eps is the accuracy slack (default 0.01): the guarantee is
-	// f(I) ≥ (Alpha−Eps)·p_max with probability ≥ 1 − 2/N.
-	Eps float64
-	// N controls the success probability (default 100000).
-	N float64
-	// Seed fixes all randomness; Workers bounds parallelism (0 = CPUs).
-	Seed    int64
-	Workers int
-	// MaxRealizations caps the sampled pool (default 200000; 0 keeps the
-	// default — use Unbounded for the pure-theory sizing).
-	MaxRealizations int64
-	// MaxPmaxDraws caps the p_max estimation (default 2000000).
-	MaxPmaxDraws int64
-	// Realizations, when positive, skips the theoretical pool sizing and
-	// uses exactly this many realizations (the practical regime of the
-	// paper's Sec. IV-E). With a Session, a fixed Realizations across an
-	// α-sweep means the pool is sampled exactly once.
-	Realizations int64
-	// Unbounded disables both caps: pool sizing follows Eq. 16 exactly.
-	// Feasible only on small instances.
-	Unbounded bool
-}
-
-func (o Options) normalized() Options {
-	out := o
-	if out.Alpha == 0 {
-		out.Alpha = 0.1
-	}
-	if out.Eps == 0 {
-		out.Eps = 0.01
-	}
-	if out.N == 0 {
-		out.N = 100000
-	}
-	if out.MaxRealizations == 0 {
-		out.MaxRealizations = 200000
-	}
-	if out.MaxPmaxDraws == 0 {
-		out.MaxPmaxDraws = 2000000
-	}
-	if out.Unbounded {
-		out.MaxRealizations = 0
-		out.MaxPmaxDraws = 0
-	}
-	return out
-}
+// sampling regime. See the field docs for each default.
+type Options = server.Options
 
 // Solution is the output of Solve.
-type Solution struct {
-	// Invited is the invitation set I*, ascending, always containing the
-	// target.
-	Invited []Node
-	// PStar is the algorithm's estimate of p_max.
-	PStar float64
-	// VmaxSize is |V_max| (the α = 1 optimum size).
-	VmaxSize int
-	// Realizations is the pool size used; Covered of PoolType1 sampled
-	// type-1 realizations are covered by Invited.
-	Realizations int64
-	PoolType1    int
-	Covered      int
-}
+type Solution = server.Solution
 
 // ErrTargetUnreachable reports p_max ≈ 0: no invitation strategy works.
 var ErrTargetUnreachable = core.ErrTargetUnreachable
 
-func (o Options) coreConfig() core.Config {
-	return core.Config{
-		Alpha:           o.Alpha,
-		Eps:             o.Eps,
-		N:               o.N,
-		Seed:            o.Seed,
-		Workers:         o.Workers,
-		MaxRealizations: o.MaxRealizations,
-		MaxPmaxDraws:    o.MaxPmaxDraws,
-		OverrideL:       o.Realizations,
-	}
-}
-
-func solutionFromResult(res *core.Result) *Solution {
-	return &Solution{
-		Invited:      res.Invited.Members(),
-		PStar:        res.PStar,
-		VmaxSize:     res.VmaxSize,
-		Realizations: res.LUsed,
-		PoolType1:    res.PoolType1,
-		Covered:      res.Covered,
-	}
-}
-
 // Solve runs the RAF algorithm (Algorithm 4 of the paper). The result is
 // deterministic for a fixed Options.Seed regardless of Options.Workers.
 func (p *Problem) Solve(ctx context.Context, opts Options) (*Solution, error) {
-	o := opts.normalized()
-	res, err := core.RAF(ctx, p.in, o.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	return solutionFromResult(res), nil
+	return p.NewSession(opts.Seed, opts.Workers).Solve(ctx, opts)
 }
 
-// MaxSolution is the output of SolveMax.
-type MaxSolution struct {
-	// Invited is the chosen invitation set (size ≤ the budget).
-	Invited []Node
-	// EstimatedF estimates f(Invited) on draws decorrelated from the pool
-	// the greedy optimized over (the same stream family
-	// AcceptanceProbability uses), so it is an unbiased measurement of the
-	// returned set.
-	EstimatedF float64
-	// TrainF is the covered fraction of the solve pool itself — the
-	// quantity the greedy maximized. It is optimistically biased (the set
-	// was chosen to cover exactly these draws); the TrainF−EstimatedF gap
-	// is the overfit margin.
-	TrainF float64
-}
+// MaxSolution is the output of SolveMax: the chosen set, its unbiased
+// decorrelated estimate EstimatedF, and the optimistically biased
+// in-pool fraction TrainF the greedy maximized.
+type MaxSolution = server.MaxSolution
 
 // SolveMax solves the *maximum* active friending variant (the problem of
 // Yang et al. that the paper's related work targets): maximize f(I)
@@ -379,22 +277,14 @@ func (p *Problem) SolveMax(ctx context.Context, budget int, realizations int64, 
 	if err != nil {
 		return nil, err
 	}
-	l := realizations
-	if l <= 0 {
-		l = maxaf.DefaultRealizations
-	}
 	// Measure the returned set on fresh draws (the estimator's stream
 	// family is decorrelated from the solve pool's): the in-pool fraction
 	// is what the greedy optimized and overstates f.
-	f, err := p.eng.EstimateF(ctx, res.Invited, l, 0, seed)
+	f, err := p.eng.EstimateF(ctx, res.Invited, maxaf.Realizations(realizations), 0, seed)
 	if err != nil {
 		return nil, err
 	}
-	return &MaxSolution{
-		Invited:    res.Invited.Members(),
-		EstimatedF: f,
-		TrainF:     res.CoveredFraction,
-	}, nil
+	return server.NewMaxSolution(res, f), nil
 }
 
 // Vmax returns the unique minimum invitation set achieving p_max
@@ -411,7 +301,7 @@ func (p *Problem) Vmax() ([]Node, error) {
 // Monte-Carlo samples (Corollary 1 of the paper). Deterministic per seed,
 // independent of the worker count.
 func (p *Problem) AcceptanceProbability(ctx context.Context, invited []Node, trials int64, seed int64) (float64, error) {
-	set, err := p.toSet(invited)
+	set, err := server.InvitedSet(p.in.Graph(), invited)
 	if err != nil {
 		return 0, err
 	}
@@ -422,7 +312,7 @@ func (p *Problem) AcceptanceProbability(ctx context.Context, invited []Node, tri
 // friending process (Process 1) directly — slower, used to cross-check the
 // reverse estimator (Lemma 1 guarantees agreement).
 func (p *Problem) AcceptanceProbabilityForward(ctx context.Context, invited []Node, trials int64, seed int64) (float64, error) {
-	set, err := p.toSet(invited)
+	set, err := server.InvitedSet(p.in.Graph(), invited)
 	if err != nil {
 		return 0, err
 	}
@@ -448,21 +338,6 @@ func (p *Problem) ShortestPathSet(k int) []Node {
 	return baselines.PrefixSet(p.in.Graph().NumNodes(), order, k).Members()
 }
 
-func (p *Problem) toSet(invited []Node) (*graph.NodeSet, error) {
-	return nodeSetOf(p.in.Graph(), invited)
-}
-
-func nodeSetOf(g *Graph, invited []Node) (*graph.NodeSet, error) {
-	set := graph.NewNodeSet(g.NumNodes())
-	for _, v := range invited {
-		if err := g.CheckNode(v); err != nil {
-			return nil, fmt.Errorf("activefriending: invited set: %w", err)
-		}
-		set.Add(v)
-	}
-	return set, nil
-}
-
 // IsUnreachable reports whether err indicates a pair with p_max ≈ 0.
 func IsUnreachable(err error) bool { return errors.Is(err, core.ErrTargetUnreachable) }
 
@@ -477,27 +352,19 @@ func IsUnreachable(err error) bool { return errors.Is(err, core.ErrTargetUnreach
 // Options.Workers are ignored), and all results are independent of the
 // worker count. Safe for concurrent use.
 type Session struct {
-	p    *Problem
-	core *core.Session
-	eval *engine.Session
+	pair server.PairSessions
 }
 
 // NewSession opens a session on the problem. seed fixes all randomness;
 // workers bounds sampling parallelism (0 = all CPUs) without affecting
 // any result.
 func (p *Problem) NewSession(seed int64, workers int) *Session {
-	cs := core.NewSession(p.in, seed, workers)
-	return &Session{p: p, core: cs, eval: cs.Engine().NewEvalSession(seed, workers)}
+	return &Session{pair: server.NewPairSessions(p.in, seed, workers)}
 }
 
 // Solve runs the RAF algorithm against the session's cached pool.
 func (s *Session) Solve(ctx context.Context, opts Options) (*Solution, error) {
-	o := opts.normalized()
-	res, err := s.core.RAF(ctx, o.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	return solutionFromResult(res), nil
+	return s.pair.Solve(ctx, opts)
 }
 
 // SolveMax solves the budgeted maximum variant against the session's
@@ -505,41 +372,7 @@ func (s *Session) Solve(ctx context.Context, opts Options) (*Solution, error) {
 // pool size. EstimatedF is measured against the session's decorrelated
 // evaluation pool; the in-pool fraction the greedy optimized is TrainF.
 func (s *Session) SolveMax(ctx context.Context, budget int, realizations int64) (*MaxSolution, error) {
-	l := realizations
-	if l <= 0 {
-		l = maxaf.DefaultRealizations
-	}
-	pool, err := s.core.Pool(ctx, l)
-	if err != nil {
-		return nil, err
-	}
-	res, err := maxaf.SolveFromPool(ctx, s.p.in, budget, pool)
-	if err != nil {
-		return nil, err
-	}
-	f, err := s.eval.EstimateF(ctx, res.Invited, l)
-	if err != nil {
-		return nil, err
-	}
-	return &MaxSolution{
-		Invited:    res.Invited.Members(),
-		EstimatedF: f,
-		TrainF:     res.CoveredFraction,
-	}, nil
-}
-
-// maxSolutions pairs a budget sweep's solver results with their
-// decorrelated estimates.
-func maxSolutions(results []*maxaf.Result, fs []float64) []*MaxSolution {
-	out := make([]*MaxSolution, len(results))
-	for i, r := range results {
-		out[i] = &MaxSolution{
-			Invited:    r.Invited.Members(),
-			EstimatedF: fs[i],
-			TrainF:     r.CoveredFraction,
-		}
-	}
-	return out
+	return s.pair.SolveMax(ctx, budget, realizations)
 }
 
 // SolveMaxBudgets answers SolveMax for every budget in one shot against
@@ -549,38 +382,14 @@ func maxSolutions(results []*maxaf.Result, fs []float64) []*MaxSolution {
 // traversal per pool for the whole sweep. Results are identical to
 // calling SolveMax per budget.
 func (s *Session) SolveMaxBudgets(ctx context.Context, budgets []int, realizations int64) ([]*MaxSolution, error) {
-	l := realizations
-	if l <= 0 {
-		l = maxaf.DefaultRealizations
-	}
-	pool, err := s.core.Pool(ctx, l)
-	if err != nil {
-		return nil, err
-	}
-	results, err := maxaf.SolveBudgetsFromPool(ctx, s.p.in, budgets, pool)
-	if err != nil {
-		return nil, err
-	}
-	sets := make([]*graph.NodeSet, len(results))
-	for i, r := range results {
-		sets[i] = r.Invited
-	}
-	fs, err := s.eval.EstimateFMany(ctx, sets, l)
-	if err != nil {
-		return nil, err
-	}
-	return maxSolutions(results, fs), nil
+	return s.pair.SolveMaxBudgets(ctx, budgets, realizations)
 }
 
 // AcceptanceProbability estimates f(invited) as a coverage query against
 // the session's evaluation pool (grown to at least trials draws), so
 // repeated measurements share draws and the pool's coverage index.
 func (s *Session) AcceptanceProbability(ctx context.Context, invited []Node, trials int64) (float64, error) {
-	set, err := s.p.toSet(invited)
-	if err != nil {
-		return 0, err
-	}
-	return s.eval.EstimateF(ctx, set, trials)
+	return s.pair.AcceptanceProbability(ctx, invited, trials)
 }
 
 // Pmax estimates p_max = f(V) from the session's evaluation pool: it is
@@ -588,26 +397,13 @@ func (s *Session) AcceptanceProbability(ctx context.Context, invited []Node, tri
 // carrying the paper's (ε₀, 1/N) stopping-rule guarantee — and for
 // incremental refinement — use EstimatePmax.
 func (s *Session) Pmax(ctx context.Context, trials int64) (float64, error) {
-	return s.eval.FractionType1(ctx, trials)
+	return s.pair.Eval.FractionType1(ctx, trials)
 }
 
 // PmaxEstimate is the outcome of EstimatePmax: the Algorithm 2 estimate
-// together with its draw accounting.
-type PmaxEstimate struct {
-	// Value is the p_max estimate; with Truncated false it is within
-	// relative error eps0 of p_max with probability ≥ 1 − 1/N.
-	Value float64
-	// Draws is the number of stopping-rule draws the estimate consumed;
-	// Reused counts those answered from the session's retained ledger
-	// (draws paid for by earlier estimates), Sampled the net-new draws.
-	Draws   int64
-	Reused  int64
-	Sampled int64
-	// Truncated reports that the draw budget ran out before the rule
-	// converged; Value is then the plain Monte-Carlo mean over the budget
-	// and carries no relative-error guarantee.
-	Truncated bool
-}
+// (Value) together with its draw accounting (Draws, Reused, Sampled) and
+// whether the draw budget cut it short (Truncated).
+type PmaxEstimate = server.PmaxEstimate
 
 // EstimatePmax runs the paper's Algorithm 2 (the Dagum et al. stopping
 // rule) at relative error eps0 ∈ (0,1) (default 0.1) with failure
@@ -619,37 +415,11 @@ type PmaxEstimate struct {
 // the tighter accuracy. Deterministic per seed, independent of the
 // worker count. Solve's internal p_max step shares the same ledger.
 func (s *Session) EstimatePmax(ctx context.Context, eps0, n float64, maxDraws int64) (*PmaxEstimate, error) {
-	e0, bigN, budget := pmaxDefaults(eps0, n, maxDraws)
-	res, err := s.core.EstimatePmax(ctx, e0, bigN, budget)
+	est, err := s.pair.EstimatePmax(ctx, eps0, n, maxDraws)
 	if err != nil {
 		return nil, err
 	}
-	return pmaxEstimateFrom(res), nil
-}
-
-// pmaxDefaults normalizes EstimatePmax parameters (shared by Session and
-// Server).
-func pmaxDefaults(eps0, n float64, maxDraws int64) (float64, float64, int64) {
-	if eps0 == 0 {
-		eps0 = 0.1
-	}
-	if n == 0 {
-		n = 100000
-	}
-	if maxDraws <= 0 {
-		maxDraws = 2000000
-	}
-	return eps0, n, maxDraws
-}
-
-func pmaxEstimateFrom(res engine.PmaxResult) *PmaxEstimate {
-	return &PmaxEstimate{
-		Value:     res.Estimate,
-		Draws:     res.Draws,
-		Reused:    res.Reused,
-		Sampled:   res.Sampled,
-		Truncated: res.Truncated,
-	}
+	return &est, nil
 }
 
 // ServerConfig configures a Server.
@@ -853,27 +623,14 @@ func (sv *Server) Warm() (int, error) { return sv.sv.Warm() }
 // streams govern, so the result is a pure function of (ServerConfig.Seed,
 // s, t) and the solve parameters.
 func (sv *Server) Solve(ctx context.Context, s, t Node, opts Options) (*Solution, error) {
-	o := opts.normalized()
-	res, err := sv.sv.Solve(ctx, s, t, o.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	return solutionFromResult(res), nil
+	return sv.sv.Solve(ctx, s, t, opts)
 }
 
 // SolveMax solves the budgeted maximum variant for (s, t) against the
 // pair's cached pools; see Session.SolveMax for the TrainF/EstimatedF
 // distinction.
 func (sv *Server) SolveMax(ctx context.Context, s, t Node, budget int, realizations int64) (*MaxSolution, error) {
-	res, f, err := sv.sv.SolveMax(ctx, s, t, budget, realizations)
-	if err != nil {
-		return nil, err
-	}
-	return &MaxSolution{
-		Invited:    res.Invited.Members(),
-		EstimatedF: f,
-		TrainF:     res.CoveredFraction,
-	}, nil
+	return sv.sv.SolveMax(ctx, s, t, budget, realizations)
 }
 
 // SolveMaxBudgets answers a whole SolveMax budget sweep for (s, t) in one
@@ -882,111 +639,24 @@ func (sv *Server) SolveMax(ctx context.Context, s, t Node, budget int, realizati
 // measurements are batched coverage queries (one postings traversal per
 // pool). Results are identical to calling SolveMax per budget.
 func (sv *Server) SolveMaxBudgets(ctx context.Context, s, t Node, budgets []int, realizations int64) ([]*MaxSolution, error) {
-	results, fs, err := sv.sv.SolveMaxBudgets(ctx, s, t, budgets, realizations)
-	if err != nil {
-		return nil, err
-	}
-	return maxSolutions(results, fs), nil
+	return sv.sv.SolveMaxBudgets(ctx, s, t, budgets, realizations)
 }
 
-// TopKOptions parameterizes one batched ranking request.
-type TopKOptions struct {
-	// Budget is the invitation budget each candidate is solved under
-	// (default 10).
-	Budget int
-	// Realizations is the full per-candidate effort: the pool size a
-	// winner is scored at (≤ 0 selects the package default, 50000).
-	Realizations int64
-	// MaxDraws bounds the whole batch's realization-draw bill; the
-	// scheduler concentrates it on the leading candidates. 0 means
-	// unlimited, which scores every candidate at full effort and
-	// returns byte-identical answers to independent SolveMax calls.
-	MaxDraws int64
-}
+// TopKOptions parameterizes one batched ranking request: the invitation
+// Budget each candidate is solved under (default 10), the full
+// per-candidate effort Realizations (≤ 0 selects 50000), and the batch's
+// MaxDraws bill (0 = unlimited, which scores every candidate at full
+// effort and returns byte-identical answers to independent SolveMax
+// calls).
+type TopKOptions = server.TopKOptions
 
 // TopKCandidate is one candidate target's standing after a TopK run.
-type TopKCandidate struct {
-	Target Node
-	// Score is the decorrelated estimate of the acceptance probability
-	// of Invited at Effort draws — what candidates are ranked on.
-	// TrainF is the biased in-pool fraction of the same solve.
-	Score  float64
-	TrainF float64
-	// Invited is the candidate's last chosen invitation set (nil if it
-	// never scored).
-	Invited []Node
-	// Effort is the pool size the candidate was last scored at — its
-	// confidence; Rounds its scheduling rounds; Frozen marks
-	// candidates eliminated before the final round.
-	Effort int64
-	Rounds int
-	Frozen bool
-	// Err is the scoring failure that froze the candidate, if any
-	// (e.g. the target is the source, or already adjacent to it).
-	Err string
-}
+type TopKCandidate = server.TopKCandidate
 
-// TopKResult is a finished batched ranking.
-type TopKResult struct {
-	Source Node
-	K      int
-	// Winners are the top min(K, scored) candidates, best first, each
-	// scored at the schedule's final effort. Candidates holds every
-	// target's standing in input order; Ranked lists input indices
-	// best-first.
-	Winners    []TopKCandidate
-	Candidates []TopKCandidate
-	Ranked     []int
-	// Rounds is the number of halving rounds run. DrawsSpent is the
-	// measured draw bill; PlannedDraws the schedule's a-priori bill;
-	// ExhaustiveDraws what independent full-effort SolveMax calls
-	// would have planned. Truncated reports that MaxDraws forced even
-	// the winners below full effort — TopKRefine can finish the job.
-	Rounds          int
-	DrawsSpent      int64
-	PlannedDraws    int64
-	ExhaustiveDraws int64
-	Truncated       bool
-
-	inner *server.TopKResult // retained so TopKRefine can resume
-}
-
-func topKResultFrom(source Node, k int, res *server.TopKResult) *TopKResult {
-	conv := func(c server.TopKCandidate) TopKCandidate {
-		out := TopKCandidate{
-			Target: c.Target,
-			Score:  c.Score,
-			TrainF: c.TrainF,
-			Effort: c.Effort,
-			Rounds: c.Rounds,
-			Frozen: c.Frozen,
-			Err:    c.Err,
-		}
-		if c.Invited != nil {
-			out.Invited = c.Invited.Members()
-		}
-		return out
-	}
-	r := &TopKResult{
-		Source:          source,
-		K:               k,
-		Candidates:      make([]TopKCandidate, len(res.Candidates)),
-		Ranked:          res.Ranked,
-		Rounds:          res.Rounds,
-		DrawsSpent:      res.DrawsSpent,
-		PlannedDraws:    res.PlannedDraws,
-		ExhaustiveDraws: res.ExhaustiveDraws,
-		Truncated:       res.Truncated,
-		inner:           res,
-	}
-	for i, c := range res.Candidates {
-		r.Candidates[i] = conv(c)
-	}
-	for _, wi := range res.Winners() {
-		r.Winners = append(r.Winners, r.Candidates[wi])
-	}
-	return r
-}
+// TopKResult is a finished batched ranking: Winners best first,
+// Candidates in input order, Ranked input indices best-first, and the
+// schedule's draw accounting.
+type TopKResult = server.TopKResult
 
 // TopK ranks candidate targets for one source as a single scheduled
 // batch and returns the best k, spending at most opts.MaxDraws
@@ -1001,22 +671,7 @@ func topKResultFrom(source Node, k int, res *server.TopKResult) *TopKResult {
 // what full effort would conclude, only how cheaply the batch gets
 // there.
 func (sv *Server) TopK(ctx context.Context, source Node, targets []Node, k int, opts TopKOptions) (*TopKResult, error) {
-	budget := opts.Budget
-	if budget <= 0 {
-		budget = 10
-	}
-	res, err := sv.sv.TopK(ctx, server.TopKQuery{
-		S:            source,
-		Targets:      targets,
-		K:            k,
-		Budget:       budget,
-		Realizations: opts.Realizations,
-		MaxDraws:     opts.MaxDraws,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return topKResultFrom(source, k, res), nil
+	return sv.sv.TopK(ctx, server.NewTopKQuery(source, targets, k, opts))
 }
 
 // TopKRefine resumes a finished TopK run with extraDraws more budget:
@@ -1025,24 +680,13 @@ func (sv *Server) TopK(ctx context.Context, source Node, targets []Node, k int, 
 // anytime contract. The refined result equals what a cold TopK at the
 // combined budget would return.
 func (sv *Server) TopKRefine(ctx context.Context, prev *TopKResult, extraDraws int64) (*TopKResult, error) {
-	if prev == nil || prev.inner == nil {
-		return nil, errors.New("activefriending: TopKRefine needs a result returned by TopK")
-	}
-	res, err := sv.sv.TopKRefine(ctx, prev.inner, extraDraws)
-	if err != nil {
-		return nil, err
-	}
-	return topKResultFrom(prev.Source, prev.K, res), nil
+	return sv.sv.TopKRefine(ctx, prev, extraDraws)
 }
 
 // AcceptanceProbability estimates f(invited) for the pair (s, t) against
 // its cached evaluation pool.
 func (sv *Server) AcceptanceProbability(ctx context.Context, s, t Node, invited []Node, trials int64) (float64, error) {
-	set, err := nodeSetOf(sv.sv.Graph(), invited)
-	if err != nil {
-		return 0, err
-	}
-	return sv.sv.EstimateF(ctx, s, t, set, trials)
+	return sv.sv.AcceptanceProbability(ctx, s, t, invited, trials)
 }
 
 // Graph returns the served graph at the current epoch (the result of
@@ -1062,27 +706,9 @@ type Edge = graph.Edge
 // that dirties nothing; listing one edge in both sets is an error.
 type Delta = graph.Delta
 
-// DeltaSummary reports what one ApplyDelta did.
-type DeltaSummary struct {
-	// Dirty is the sorted set of nodes whose edges actually changed;
-	// empty for a no-op delta, which advances no epoch.
-	Dirty []Node
-	// NumNodes and NumEdges describe the new epoch's graph.
-	NumNodes int
-	NumEdges int64
-	// PairsMigrated counts cached pairs carried across the epoch by
-	// repair; PairsDropped those dissolved because s and t became
-	// adjacent (their friending problem is solved).
-	PairsMigrated int
-	PairsDropped  int
-	// RepairChunksResampled and RepairDrawsResampled are the pool chunks
-	// and draws the migration re-drew; RepairDrawsSaved the draws
-	// adopted verbatim — what discarding every pool would have cost on
-	// top.
-	RepairChunksResampled int
-	RepairDrawsResampled  int64
-	RepairDrawsSaved      int64
-}
+// DeltaSummary reports what one ApplyDelta did: the dirty nodes, the
+// new epoch's size, the pairs migrated and dropped, and the repair bill.
+type DeltaSummary = server.DeltaSummary
 
 // ApplyDelta mutates the served graph: the delta's edges are added and
 // removed atomically, producing the next epoch, and every cached pair
@@ -1105,20 +731,7 @@ type DeltaSummary struct {
 //	fmt.Println(res.RepairDrawsSaved)           // draws kept across the mutation
 //	sol2, _ := sv.Solve(ctx, s, t, activefriending.Options{Alpha: 0.3}) // new epoch
 func (sv *Server) ApplyDelta(ctx context.Context, d *Delta) (*DeltaSummary, error) {
-	res, err := sv.sv.ApplyDelta(ctx, d, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &DeltaSummary{
-		Dirty:                 res.Dirty,
-		NumNodes:              res.NumNodes,
-		NumEdges:              res.NumEdges,
-		PairsMigrated:         res.PairsMigrated,
-		PairsDropped:          res.PairsDropped,
-		RepairChunksResampled: res.Repair.Resampled,
-		RepairDrawsResampled:  res.Repair.DrawsResampled,
-		RepairDrawsSaved:      res.Repair.DrawsSaved,
-	}, nil
+	return sv.sv.ApplyDelta(ctx, d, nil)
 }
 
 // Pmax estimates p_max for the pair (s, t) from its evaluation pool (the
@@ -1135,144 +748,24 @@ func (sv *Server) Pmax(ctx context.Context, s, t Node, trials int64) (float64, e
 // process paid for; the cumulative reuse is ledgered in
 // ServerStats.PmaxDrawsReused.
 func (sv *Server) EstimatePmax(ctx context.Context, s, t Node, eps0, n float64, maxDraws int64) (*PmaxEstimate, error) {
-	e0, bigN, budget := pmaxDefaults(eps0, n, maxDraws)
-	res, err := sv.sv.PmaxEstimate(ctx, s, t, e0, bigN, budget)
+	est, err := sv.sv.PmaxEstimate(ctx, s, t, eps0, n, maxDraws)
 	if err != nil {
 		return nil, err
 	}
-	return pmaxEstimateFrom(res), nil
+	return &est, nil
 }
 
 // ServerKindStats is the hit/miss tally for one query kind: a hit found
 // the pair's session cached; a miss created it (including re-creation
 // after eviction).
-type ServerKindStats struct {
-	Hits   int64
-	Misses int64
-}
+type ServerKindStats = server.ServerKindStats
 
-// ServerStats is the server's observability ledger.
-type ServerStats struct {
-	// SessionsLive counts currently cached pair sessions;
-	// SessionsCreated and SessionsEvicted are lifetime counters (a pair
-	// recreated after eviction counts as created again). An eviction is
-	// counted exactly when its pair leaves the cache, so at quiescence
-	// SessionsLive == SessionsCreated − SessionsEvicted.
-	SessionsLive    int
-	SessionsCreated int64
-	SessionsEvicted int64
-	// BytesHeld is the accounted size of all cached pair state; after an
-	// eviction pass it never exceeds ServerConfig.MaxPoolBytes.
-	BytesHeld int64
-	// Spills counts evictions (and SpillAll flushes) that wrote a pair's
-	// pools to ServerConfig.SpillDir, totalling SpillBytes on disk;
-	// SpillLoads counts re-admissions restored from a spill file
-	// (SpillLoadBytes read) instead of resampled, and SpillDrawsSaved
-	// totals the pool draws those loads avoided — the load-vs-resample
-	// win. SpillLoadErrors counts rejected or unreadable spill files,
-	// split by cause — checksum failures, format-version skew,
-	// stream-identity mismatches (wrong Seed), instance mismatches (a
-	// graph the epoch lineage doesn't know), and everything else —
-	// SpillWriteErrors failed snapshot writes (the previous file, if
-	// any, survives); the affected pairs resampled, which changes no
-	// answer.
-	Spills               int64
-	SpillBytes           int64
-	SpillLoads           int64
-	SpillLoadBytes       int64
-	SpillDrawsSaved      int64
-	SpillLoadErrors      int64
-	SpillLoadErrChecksum int64
-	SpillLoadErrVersion  int64
-	SpillLoadErrStream   int64
-	SpillLoadErrInstance int64
-	SpillLoadErrOther    int64
-	SpillWriteErrors     int64
-	// SpillFilesExpired counts spill files deleted by the TTL sweep
-	// (ServerConfig.SpillTTL); the affected pairs resample on their next
-	// query, which changes no answer.
-	SpillFilesExpired int64
-	// DeltasApplied counts effective ApplyDelta calls; PairsDropped the
-	// pairs deltas dissolved. PoolsRepaired counts pair migrations and
-	// stale-spill loads carried across epochs by repair, re-drawing
-	// RepairChunksResampled chunks (RepairDrawsResampled draws) while
-	// adopting RepairDrawsSaved draws verbatim — the repair-vs-discard
-	// win.
-	DeltasApplied         int64
-	PairsDropped          int64
-	PoolsRepaired         int64
-	RepairChunksResampled int64
-	RepairDrawsResampled  int64
-	RepairDrawsSaved      int64
-	// PmaxDrawsReused totals the Algorithm 2 stopping-rule draws that
-	// Solve and EstimatePmax answered from retained estimator ledgers
-	// instead of resampling — the p_max refinement win.
-	PmaxDrawsReused int64
-	// Coalesced counts queries that joined an identical concurrent
-	// in-flight query (same pair, parameters and graph epoch) and
-	// shared its answer instead of paying their own computation.
-	Coalesced int64
-	// Inflight and Queued are the admission gate's current occupancy
-	// (queries executing / waiting for a slot); Admitted and Rejected
-	// are lifetime counters. All zero without ServerConfig.MaxInflight.
-	Inflight int
-	Queued   int
-	Admitted int64
-	Rejected int64
-	// Per-query-kind hit/miss tallies. TopK counts per-candidate
-	// session acquisitions of batched ranking rounds.
-	Solve                 ServerKindStats
-	SolveMax              ServerKindStats
-	AcceptanceProbability ServerKindStats
-	Pmax                  ServerKindStats
-	EstimatePmax          ServerKindStats
-	TopK                  ServerKindStats
-}
+// ServerStats is the server's observability ledger; see the field docs
+// for each counter.
+type ServerStats = server.ServerStats
 
 // Stats returns a snapshot of the server's ledger.
-func (sv *Server) Stats() ServerStats {
-	st := sv.sv.Stats()
-	conv := func(k server.Kind) ServerKindStats {
-		return ServerKindStats{Hits: st.ByKind[k].Hits, Misses: st.ByKind[k].Misses}
-	}
-	return ServerStats{
-		SessionsLive:          st.SessionsLive,
-		SessionsCreated:       st.SessionsCreated,
-		SessionsEvicted:       st.SessionsEvicted,
-		BytesHeld:             st.BytesHeld,
-		Spills:                st.Spills,
-		SpillBytes:            st.SpillBytes,
-		SpillLoads:            st.SpillLoads,
-		SpillLoadBytes:        st.SpillLoadBytes,
-		SpillDrawsSaved:       st.SpillDrawsSaved,
-		SpillLoadErrors:       st.SpillLoadErrors,
-		SpillLoadErrChecksum:  st.SpillLoadErrChecksum,
-		SpillLoadErrVersion:   st.SpillLoadErrVersion,
-		SpillLoadErrStream:    st.SpillLoadErrStream,
-		SpillLoadErrInstance:  st.SpillLoadErrInstance,
-		SpillLoadErrOther:     st.SpillLoadErrOther,
-		SpillWriteErrors:      st.SpillWriteErrors,
-		SpillFilesExpired:     st.SpillFilesExpired,
-		PmaxDrawsReused:       st.PmaxDrawsReused,
-		Coalesced:             st.Coalesced,
-		Inflight:              st.Inflight,
-		Queued:                st.Queued,
-		Admitted:              st.Admitted,
-		Rejected:              st.Rejected,
-		DeltasApplied:         st.DeltasApplied,
-		PairsDropped:          st.PairsDropped,
-		PoolsRepaired:         st.PoolsRepaired,
-		RepairChunksResampled: st.RepairChunksResampled,
-		RepairDrawsResampled:  st.RepairDrawsResampled,
-		RepairDrawsSaved:      st.RepairDrawsSaved,
-		Solve:                 conv(server.KindSolve),
-		SolveMax:              conv(server.KindSolveMax),
-		AcceptanceProbability: conv(server.KindEstimateF),
-		Pmax:                  conv(server.KindPmax),
-		EstimatePmax:          conv(server.KindPmaxEst),
-		TopK:                  conv(server.KindTopK),
-	}
-}
+func (sv *Server) Stats() ServerStats { return sv.sv.Stats() }
 
 // SessionStats exposes the session's sampling ledger, making pool reuse
 // observable: after an α-sweep, PoolDraws equals the pool size rather
@@ -1294,12 +787,12 @@ type SessionStats struct {
 
 // Stats returns the session's current sampling ledger.
 func (s *Session) Stats() SessionStats {
-	eng := s.core.Engine()
+	eng := s.pair.Core.Engine()
 	return SessionStats{
 		PoolDraws:     eng.PoolDraws(),
 		PmaxDraws:     eng.PmaxDraws(),
 		TotalDraws:    eng.Draws(),
-		SolvePoolSize: s.core.PoolSize(),
-		EvalPoolSize:  s.eval.Size(),
+		SolvePoolSize: s.pair.Core.PoolSize(),
+		EvalPoolSize:  s.pair.Eval.Size(),
 	}
 }

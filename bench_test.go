@@ -965,7 +965,7 @@ func benchTopKExhaustive(b *testing.B, n int) {
 		for _, t := range targets {
 			// Unreachable or dissolved targets cost their sampled pools
 			// either way; the scheduled run freezes the same candidates.
-			if _, _, err := sv.SolveMax(context.Background(), src, t, 10, topkBenchEffort); err != nil {
+			if _, err := sv.SolveMax(context.Background(), src, t, 10, topkBenchEffort); err != nil {
 				continue
 			}
 		}
@@ -1024,13 +1024,13 @@ func benchObsSolveMax(b *testing.B, o *obs.Obs) {
 	p := s.pairs[0]
 	sv := server.New(s.g, s.w, server.Config{Seed: 1, Obs: o})
 	ctx := context.Background()
-	if _, _, err := sv.SolveMax(ctx, p.S, p.T, 10, topkBenchEffort); err != nil {
+	if _, err := sv.SolveMax(ctx, p.S, p.T, 10, topkBenchEffort); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sv.SolveMax(ctx, p.S, p.T, 10, topkBenchEffort); err != nil {
+		if _, err := sv.SolveMax(ctx, p.S, p.T, 10, topkBenchEffort); err != nil {
 			b.Fatal(err)
 		}
 	}

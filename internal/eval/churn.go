@@ -87,7 +87,7 @@ func MutationChurn(ctx context.Context, cfg Config, epochs, edgesPerDelta int) (
 			out = append(out, fmt.Sprintf("pmax(%d,%d)=%.12f/%v", p.S, p.T, pm, err != nil))
 			est, err := sv.PmaxEstimate(ctx, p.S, p.T, 0.2, 50, c.MaxPmaxDraws)
 			out = append(out, fmt.Sprintf("est(%d,%d)=%.12f|%d|%v/%v",
-				p.S, p.T, est.Estimate, est.Draws, est.Truncated, err != nil))
+				p.S, p.T, est.Value, est.Draws, est.Truncated, err != nil))
 		}
 		return out, nil
 	}

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/server"
@@ -118,17 +119,17 @@ func TopKRanking(ctx context.Context, cfg Config, k, budget int) (*TopKReport, e
 		}
 	}
 	// Precision@k of the budgeted ranking against the exhaustive one.
-	want := make(map[int]bool, k)
-	for _, wi := range full.Winners() {
-		want[wi] = true
+	want := make(map[graph.Node]bool, k)
+	for _, w := range full.Winners {
+		want[w.Target] = true
 	}
 	hits := 0
-	for _, wi := range sched.Winners() {
-		if want[wi] {
+	for _, w := range sched.Winners {
+		if want[w.Target] {
 			hits++
 		}
 	}
-	if n := len(full.Winners()); n > 0 {
+	if n := len(full.Winners); n > 0 {
 		res.PrecisionAtK = float64(hits) / float64(n)
 	}
 	// Byte-identity: the exhaustive batch must equal an explicit loop of
@@ -136,16 +137,15 @@ func TopKRanking(ctx context.Context, cfg Config, k, budget int) (*TopKReport, e
 	loop := newServer()
 	for i, t := range targets {
 		cand := full.Candidates[i]
-		mres, f, err := loop.SolveMax(ctx, s, t, budget, c.EvalTrials)
+		mres, err := loop.SolveMax(ctx, s, t, budget, c.EvalTrials)
 		if err != nil {
 			if cand.Err == "" {
 				res.Identical = false
 			}
 			continue
 		}
-		if cand.Err != "" || cand.Score != f || cand.TrainF != mres.CoveredFraction ||
-			cand.Invited == nil || cand.Invited.Len() != mres.Invited.Len() ||
-			!cand.Invited.ContainsAll(mres.Invited) {
+		if cand.Err != "" || cand.Score != mres.EstimatedF || cand.TrainF != mres.TrainF ||
+			cand.Invited == nil || !slices.Equal(cand.Invited, mres.Invited) {
 			res.Identical = false
 		}
 	}

@@ -56,13 +56,13 @@ func WarmRestart(ctx context.Context, cfg Config, dir string) (*WarmRestartResul
 			if err := ctx.Err(); err != nil {
 				return nil, 0, err
 			}
-			results, fs, err := sv.SolveMaxBudgets(ctx, p.S, p.T, budgets, c.MaxRealizations)
+			results, err := sv.SolveMaxBudgets(ctx, p.S, p.T, budgets, c.MaxRealizations)
 			if err != nil {
 				out = append(out, fmt.Sprintf("smax(%d,%d)=err", p.S, p.T))
 			} else {
 				for i, r := range results {
 					out = append(out, fmt.Sprintf("smax(%d,%d,%d)=%v|%.12f|%.12f",
-						p.S, p.T, budgets[i], r.Invited.Members(), r.CoveredFraction, fs[i]))
+						p.S, p.T, budgets[i], r.Invited, r.TrainF, r.EstimatedF))
 				}
 			}
 			pm, err := sv.Pmax(ctx, p.S, p.T, c.EvalTrials)

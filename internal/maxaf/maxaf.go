@@ -27,6 +27,15 @@ import (
 // Realizations ≤ 0.
 const DefaultRealizations = 50000
 
+// Realizations resolves a requested pool size: l itself when positive,
+// DefaultRealizations otherwise.
+func Realizations(l int64) int64 {
+	if l <= 0 {
+		return DefaultRealizations
+	}
+	return l
+}
+
 // Config parameterizes a Solve call.
 type Config struct {
 	// Budget is the maximum invitation-set size; must fit the target
@@ -58,11 +67,7 @@ func Solve(ctx context.Context, in *ltm.Instance, cfg Config) (*Result, error) {
 	if cfg.Budget <= 0 {
 		return nil, fmt.Errorf("maxaf: budget %d must be positive", cfg.Budget)
 	}
-	l := cfg.Realizations
-	if l <= 0 {
-		l = DefaultRealizations
-	}
-	pool, err := engine.New(in).SamplePool(ctx, l, cfg.Workers, cfg.Seed)
+	pool, err := engine.New(in).SamplePool(ctx, Realizations(cfg.Realizations), cfg.Workers, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

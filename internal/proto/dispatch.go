@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/server"
 )
@@ -17,10 +16,11 @@ import (
 // (internal/proto/httpapi) drive the same Dispatcher, so a request
 // produces the same reply bytes on either.
 //
-// Parameter defaulting (solve's α/ε/N, acceptance's trials, topk's
-// budget, pmaxest's stopping-rule knobs) replicates the public facade's
-// normalization exactly — the dispatcher must answer what the facade
-// would, since both are views of the same server.
+// Parameter defaults (solve's α/ε/N and caps, topk's budget, pmaxest's
+// stopping-rule knobs) and invited-set validation live in the server,
+// which the public facade calls too, so the dispatcher answers what the
+// facade would by construction. Only the wire's own default — trials
+// for "acceptance" and "pmax" — is resolved here.
 type Dispatcher struct {
 	sv *server.Server
 
@@ -47,71 +47,13 @@ func NewDispatcher(sv *server.Server) *Dispatcher {
 // request omits trials.
 const defaultTrials = 20000
 
-// solveConfig replicates activefriending.Options.normalized() +
-// coreConfig() for the wire's (alpha, eps, n, realizations) fields.
-func solveConfig(req Request) core.Config {
-	cfg := core.Config{
-		Alpha:           req.Alpha,
-		Eps:             req.Eps,
-		N:               req.N,
-		MaxRealizations: 200000,
-		MaxPmaxDraws:    2000000,
-		OverrideL:       req.Realizations,
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.1
-	}
-	if cfg.Eps == 0 {
-		cfg.Eps = 0.01
-	}
-	if cfg.N == 0 {
-		cfg.N = 100000
-	}
-	return cfg
-}
-
-// pmaxDefaults replicates the facade's EstimatePmax normalization.
-func pmaxDefaults(eps0, n float64, maxDraws int64) (float64, float64, int64) {
-	if eps0 == 0 {
-		eps0 = 0.1
-	}
-	if n == 0 {
-		n = 100000
-	}
-	if maxDraws <= 0 {
-		maxDraws = 2000000
-	}
-	return eps0, n, maxDraws
-}
-
-// nodeSetOf replicates the facade's invited-set validation, including
-// its error prefix: the reply string is wire format.
-func nodeSetOf(g *graph.Graph, invited []graph.Node) (*graph.NodeSet, error) {
-	set := graph.NewNodeSet(g.NumNodes())
-	for _, v := range invited {
-		if err := g.CheckNode(v); err != nil {
-			return nil, fmt.Errorf("activefriending: invited set: %w", err)
-		}
-		set.Add(v)
-	}
-	return set, nil
-}
-
-// topkQuery builds the server query for a "topk"/"topkrefine" request,
-// applying the facade's budget default.
+// topkQuery builds the server query for a "topk"/"topkrefine" request.
 func topkQuery(req Request) server.TopKQuery {
-	budget := req.Budget
-	if budget <= 0 {
-		budget = 10
-	}
-	return server.TopKQuery{
-		S:            req.S,
-		Targets:      req.Targets,
-		K:            req.K,
-		Budget:       budget,
+	return server.NewTopKQuery(req.S, req.Targets, req.K, server.TopKOptions{
+		Budget:       req.Budget,
 		Realizations: req.Realizations,
 		MaxDraws:     req.MaxDraws,
-	}
+	})
 }
 
 // topkKey is the refine-cache signature of a topk query; MaxDraws is
@@ -160,48 +102,31 @@ func (d *Dispatcher) Dispatch(ctx context.Context, req Request) Response {
 	var err error
 	switch req.Op {
 	case "solve":
-		var res *core.Result
-		res, err = d.sv.Solve(ctx, req.S, req.T, solveConfig(req))
-		if err == nil {
-			result = solutionFrom(res)
-		}
+		result, err = d.sv.Solve(ctx, req.S, req.T, server.Options{
+			Alpha: req.Alpha, Eps: req.Eps, N: req.N, Realizations: req.Realizations,
+		})
 	case "solvemax":
 		// A "budgets" list answers the whole sweep from one pool fold and
 		// two batched coverage queries; "budget" answers a single solve.
 		if len(req.Budgets) > 0 {
-			rs, fs, err2 := d.sv.SolveMaxBudgets(ctx, req.S, req.T, req.Budgets, req.Realizations)
-			err = err2
-			if err == nil {
-				result = maxSolutionsFrom(rs, fs)
-			}
+			result, err = d.sv.SolveMaxBudgets(ctx, req.S, req.T, req.Budgets, req.Realizations)
 		} else {
-			res, f, err2 := d.sv.SolveMax(ctx, req.S, req.T, req.Budget, req.Realizations)
-			err = err2
-			if err == nil {
-				result = maxSolutionFrom(res, f)
-			}
+			result, err = d.sv.SolveMax(ctx, req.S, req.T, req.Budget, req.Realizations)
 		}
 	case "acceptance":
-		var set *graph.NodeSet
-		set, err = nodeSetOf(d.sv.Graph(), req.Invited)
-		if err == nil {
-			var f float64
-			f, err = d.sv.EstimateF(ctx, req.S, req.T, set, trials)
-			result = map[string]float64{"f": f}
-		}
+		var f float64
+		f, err = d.sv.AcceptanceProbability(ctx, req.S, req.T, req.Invited, trials)
+		result = map[string]float64{"f": f}
 	case "pmax":
 		var f float64
 		f, err = d.sv.Pmax(ctx, req.S, req.T, trials)
 		result = map[string]float64{"pmax": f}
 	case "pmaxest":
-		e0, n, budget := pmaxDefaults(req.Eps, req.N, req.Trials)
-		est, err2 := d.sv.PmaxEstimate(ctx, req.S, req.T, e0, n, budget)
-		err = err2
-		if err == nil {
-			result = map[string]any{
-				"pmax": est.Estimate, "draws": est.Draws, "reused": est.Reused,
-				"sampled": est.Sampled, "truncated": est.Truncated,
-			}
+		var est server.PmaxEstimate
+		est, err = d.sv.PmaxEstimate(ctx, req.S, req.T, req.Eps, req.N, req.Trials)
+		result = map[string]any{
+			"pmax": est.Value, "draws": est.Draws, "reused": est.Reused,
+			"sampled": est.Sampled, "truncated": est.Truncated,
 		}
 	case "topk":
 		q := topkQuery(req)
@@ -209,7 +134,7 @@ func (d *Dispatcher) Dispatch(ctx context.Context, req Request) Response {
 		res, err = d.sv.TopK(ctx, q)
 		if err == nil {
 			d.retainTopK(topkKey(q), res)
-			result = topKResultFrom(res)
+			result = res
 		}
 	case "topkrefine":
 		q := topkQuery(req)
@@ -222,7 +147,7 @@ func (d *Dispatcher) Dispatch(ctx context.Context, req Request) Response {
 		res, err = d.sv.TopKRefine(ctx, prev, req.ExtraDraws)
 		if err == nil {
 			d.retainTopK(topkKey(q), res)
-			result = topKResultFrom(res)
+			result = res
 		}
 	case "delta":
 		// Mutate the served graph in place: cached pairs are migrated
@@ -235,15 +160,11 @@ func (d *Dispatcher) Dispatch(ctx context.Context, req Request) Response {
 		for _, e := range req.Remove {
 			gd.Remove = append(gd.Remove, graph.Edge{U: e[0], V: e[1]})
 		}
-		var res *server.DeltaResult
-		res, err = d.sv.ApplyDelta(ctx, gd, nil)
-		if err == nil {
-			result = deltaSummaryFrom(res)
-		}
+		result, err = d.sv.ApplyDelta(ctx, gd, nil)
 	case "stats":
-		st := statsFrom(d.sv)
+		st := d.sv.Stats()
 		if o := d.sv.Obs(); o != nil {
-			result = StatsWithMetrics{Stats: st, Metrics: o.Registry.Snapshot()}
+			result = StatsWithMetrics{ServerStats: st, Metrics: o.Registry.Snapshot()}
 		} else {
 			result = st
 		}

@@ -1,247 +1,22 @@
 package proto
 
 import (
-	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/maxaf"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
 
-// The result shapes below mirror the public facade's types (package
-// activefriending: Solution, MaxSolution, TopKCandidate/TopKResult,
-// DeltaSummary, ServerStats) field for field, in declaration order —
-// the wire format is their JSON marshaling, and the facade cannot be
-// imported here (it imports internal/proto/httpapi for Server.Handler,
-// which imports this package). TestWireMirrorsFacade in the repo root
-// pins every pair byte-identical, so a facade field added without its
-// mirror fails there, not on a client.
-
-// Solution mirrors activefriending.Solution.
-type Solution struct {
-	Invited      []graph.Node
-	PStar        float64
-	VmaxSize     int
-	Realizations int64
-	PoolType1    int
-	Covered      int
-}
-
-func solutionFrom(res *core.Result) *Solution {
-	return &Solution{
-		Invited:      res.Invited.Members(),
-		PStar:        res.PStar,
-		VmaxSize:     res.VmaxSize,
-		Realizations: res.LUsed,
-		PoolType1:    res.PoolType1,
-		Covered:      res.Covered,
-	}
-}
-
-// MaxSolution mirrors activefriending.MaxSolution.
-type MaxSolution struct {
-	Invited    []graph.Node
-	EstimatedF float64
-	TrainF     float64
-}
-
-func maxSolutionFrom(res *maxaf.Result, f float64) *MaxSolution {
-	return &MaxSolution{
-		Invited:    res.Invited.Members(),
-		EstimatedF: f,
-		TrainF:     res.CoveredFraction,
-	}
-}
-
-func maxSolutionsFrom(results []*maxaf.Result, fs []float64) []*MaxSolution {
-	out := make([]*MaxSolution, len(results))
-	for i, r := range results {
-		out[i] = maxSolutionFrom(r, fs[i])
-	}
-	return out
-}
-
-// TopKCandidate mirrors activefriending.TopKCandidate.
-type TopKCandidate struct {
-	Target  graph.Node
-	Score   float64
-	TrainF  float64
-	Invited []graph.Node
-	Effort  int64
-	Rounds  int
-	Frozen  bool
-	Err     string
-}
-
-// TopKResult mirrors activefriending.TopKResult.
-type TopKResult struct {
-	Source          graph.Node
-	K               int
-	Winners         []TopKCandidate
-	Candidates      []TopKCandidate
-	Ranked          []int
-	Rounds          int
-	DrawsSpent      int64
-	PlannedDraws    int64
-	ExhaustiveDraws int64
-	Truncated       bool
-}
-
-func topKResultFrom(res *server.TopKResult) *TopKResult {
-	conv := func(c server.TopKCandidate) TopKCandidate {
-		out := TopKCandidate{
-			Target: c.Target,
-			Score:  c.Score,
-			TrainF: c.TrainF,
-			Effort: c.Effort,
-			Rounds: c.Rounds,
-			Frozen: c.Frozen,
-			Err:    c.Err,
-		}
-		if c.Invited != nil {
-			out.Invited = c.Invited.Members()
-		}
-		return out
-	}
-	r := &TopKResult{
-		Source:          res.Query.S,
-		K:               res.Query.K,
-		Candidates:      make([]TopKCandidate, len(res.Candidates)),
-		Ranked:          res.Ranked,
-		Rounds:          res.Rounds,
-		DrawsSpent:      res.DrawsSpent,
-		PlannedDraws:    res.PlannedDraws,
-		ExhaustiveDraws: res.ExhaustiveDraws,
-		Truncated:       res.Truncated,
-	}
-	for i, c := range res.Candidates {
-		r.Candidates[i] = conv(c)
-	}
-	for _, wi := range res.Winners() {
-		r.Winners = append(r.Winners, r.Candidates[wi])
-	}
-	return r
-}
-
-// DeltaSummary mirrors activefriending.DeltaSummary.
-type DeltaSummary struct {
-	Dirty                 []graph.Node
-	NumNodes              int
-	NumEdges              int64
-	PairsMigrated         int
-	PairsDropped          int
-	RepairChunksResampled int
-	RepairDrawsResampled  int64
-	RepairDrawsSaved      int64
-}
-
-func deltaSummaryFrom(res *server.DeltaResult) *DeltaSummary {
-	return &DeltaSummary{
-		Dirty:                 res.Dirty,
-		NumNodes:              res.NumNodes,
-		NumEdges:              res.NumEdges,
-		PairsMigrated:         res.PairsMigrated,
-		PairsDropped:          res.PairsDropped,
-		RepairChunksResampled: res.Repair.Resampled,
-		RepairDrawsResampled:  res.Repair.DrawsResampled,
-		RepairDrawsSaved:      res.Repair.DrawsSaved,
-	}
-}
-
-// KindStats mirrors activefriending.ServerKindStats.
-type KindStats struct {
-	Hits   int64
-	Misses int64
-}
-
-// Stats mirrors activefriending.ServerStats.
-type Stats struct {
-	SessionsLive          int
-	SessionsCreated       int64
-	SessionsEvicted       int64
-	BytesHeld             int64
-	Spills                int64
-	SpillBytes            int64
-	SpillLoads            int64
-	SpillLoadBytes        int64
-	SpillDrawsSaved       int64
-	SpillLoadErrors       int64
-	SpillLoadErrChecksum  int64
-	SpillLoadErrVersion   int64
-	SpillLoadErrStream    int64
-	SpillLoadErrInstance  int64
-	SpillLoadErrOther     int64
-	SpillWriteErrors      int64
-	SpillFilesExpired     int64
-	DeltasApplied         int64
-	PairsDropped          int64
-	PoolsRepaired         int64
-	RepairChunksResampled int64
-	RepairDrawsResampled  int64
-	RepairDrawsSaved      int64
-	PmaxDrawsReused       int64
-	Coalesced             int64
-	Inflight              int
-	Queued                int
-	Admitted              int64
-	Rejected              int64
-	Solve                 KindStats
-	SolveMax              KindStats
-	AcceptanceProbability KindStats
-	Pmax                  KindStats
-	EstimatePmax          KindStats
-	TopK                  KindStats
-}
-
-func statsFrom(sv *server.Server) Stats {
-	st := sv.Stats()
-	conv := func(k server.Kind) KindStats {
-		return KindStats{Hits: st.ByKind[k].Hits, Misses: st.ByKind[k].Misses}
-	}
-	return Stats{
-		SessionsLive:          st.SessionsLive,
-		SessionsCreated:       st.SessionsCreated,
-		SessionsEvicted:       st.SessionsEvicted,
-		BytesHeld:             st.BytesHeld,
-		Spills:                st.Spills,
-		SpillBytes:            st.SpillBytes,
-		SpillLoads:            st.SpillLoads,
-		SpillLoadBytes:        st.SpillLoadBytes,
-		SpillDrawsSaved:       st.SpillDrawsSaved,
-		SpillLoadErrors:       st.SpillLoadErrors,
-		SpillLoadErrChecksum:  st.SpillLoadErrChecksum,
-		SpillLoadErrVersion:   st.SpillLoadErrVersion,
-		SpillLoadErrStream:    st.SpillLoadErrStream,
-		SpillLoadErrInstance:  st.SpillLoadErrInstance,
-		SpillLoadErrOther:     st.SpillLoadErrOther,
-		SpillWriteErrors:      st.SpillWriteErrors,
-		SpillFilesExpired:     st.SpillFilesExpired,
-		DeltasApplied:         st.DeltasApplied,
-		PairsDropped:          st.PairsDropped,
-		PoolsRepaired:         st.PoolsRepaired,
-		RepairChunksResampled: st.RepairChunksResampled,
-		RepairDrawsResampled:  st.RepairDrawsResampled,
-		RepairDrawsSaved:      st.RepairDrawsSaved,
-		PmaxDrawsReused:       st.PmaxDrawsReused,
-		Coalesced:             st.Coalesced,
-		Inflight:              st.Inflight,
-		Queued:                st.Queued,
-		Admitted:              st.Admitted,
-		Rejected:              st.Rejected,
-		Solve:                 conv(server.KindSolve),
-		SolveMax:              conv(server.KindSolveMax),
-		AcceptanceProbability: conv(server.KindEstimateF),
-		Pmax:                  conv(server.KindPmax),
-		EstimatePmax:          conv(server.KindPmaxEst),
-		TopK:                  conv(server.KindTopK),
-	}
-}
+// Reply results are the answer types internal/server declares
+// (Solution, MaxSolution, TopKResult, DeltaSummary, ServerStats, ...),
+// marshaled as they are: the wire format is their JSON encoding, and the
+// public facade re-exports the same Go types as aliases, so a facade
+// user and a wire client see one shape by construction
+// (TestWireMirrorsFacade in the root package checks it per op).
 
 // StatsWithMetrics is the "stats" payload when the server runs with
 // metrics: the ledger, flat as before (embedding keeps the field layout
 // identical for clients that unmarshal the ledger only), plus the
 // registry snapshot.
 type StatsWithMetrics struct {
-	Stats
+	server.ServerStats
 	Metrics []obs.Sample `json:"metrics"`
 }

@@ -29,13 +29,13 @@ type admission struct {
 	slots    chan struct{}
 	maxQueue int64
 
-	inflight atomic.Int64 // currently executing (holding a slot)
-	queued   atomic.Int64 // currently waiting for a slot
-	admitted atomic.Int64 // lifetime admits (fast-path + dequeued)
-	rejected atomic.Int64 // lifetime fast-rejects
+	inflight atomic.Int64  // currently executing (holding a slot)
+	queued   atomic.Int64  // currently waiting for a slot
+	admitted *atomic.Int64 // lifetime admits (fast-path + dequeued); a ledger counter
+	rejected *atomic.Int64 // lifetime fast-rejects; a ledger counter
 }
 
-func newAdmission(maxInflight, maxQueue int) *admission {
+func newAdmission(maxInflight, maxQueue int, admitted, rejected *atomic.Int64) *admission {
 	if maxInflight <= 0 {
 		return nil
 	}
@@ -45,6 +45,8 @@ func newAdmission(maxInflight, maxQueue int) *admission {
 	return &admission{
 		slots:    make(chan struct{}, maxInflight),
 		maxQueue: int64(maxQueue),
+		admitted: admitted,
+		rejected: rejected,
 	}
 }
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 
@@ -10,26 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/weights"
 )
-
-// DeltaResult reports what one ApplyDelta did.
-type DeltaResult struct {
-	// Dirty is the sorted distinct set of nodes the delta actually
-	// changed (edge endpoints added, removed, or re-weighted); empty for
-	// a no-op delta, which advances no epoch.
-	Dirty []graph.Node
-	// NumNodes / NumEdges describe the new epoch's graph.
-	NumNodes int
-	NumEdges int64
-	// PairsMigrated counts live pairs carried across the epoch by
-	// repair; PairsDropped the pairs dissolved because the delta made
-	// their (s,t) adjacent — including spill-only pairs whose files were
-	// swept from SpillDir.
-	PairsMigrated int
-	PairsDropped  int
-	// Repair totals the migration's repair bill across all migrated
-	// pools (solve, eval and p_max ledgers).
-	Repair engine.RepairStats
-}
 
 // ApplyDelta applies a batch graph mutation — edges added, removed, and
 // (for Explicit weight schemes) re-weighted — producing the next epoch,
@@ -50,7 +29,7 @@ type DeltaResult struct {
 // never a torn answer). A delta that changes nothing returns an empty
 // Dirty set and advances no epoch. Concurrent ApplyDelta calls are
 // serialized.
-func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weights.EdgeWeight) (*DeltaResult, error) {
+func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weights.EdgeWeight) (*DeltaSummary, error) {
 	sv.deltaMu.Lock()
 	defer sv.deltaMu.Unlock()
 
@@ -76,7 +55,7 @@ func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weig
 		dirty = ds.Members()
 	}
 	if len(dirty) == 0 {
-		return &DeltaResult{NumNodes: cur.g.NumNodes(), NumEdges: cur.g.NumEdges()}, nil
+		return &DeltaSummary{NumNodes: cur.g.NumNodes(), NumEdges: cur.g.NumEdges()}, nil
 	}
 	scheme2, err := weights.Rebuild(cur.scheme, g2, dirty, updates)
 	if err != nil {
@@ -89,9 +68,9 @@ func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weig
 	// walk below does not see was created at (or after) the new epoch.
 	sv.gen.Store(next)
 	sv.lineage.Advance(next.graphFP, dirty)
-	sv.deltasApplied.Add(1)
+	sv.ledger[ctrDeltasApplied].Add(1)
 
-	res := &DeltaResult{
+	res := &DeltaSummary{
 		Dirty:    dirty,
 		NumNodes: g2.NumNodes(),
 		NumEdges: g2.NumEdges(),
@@ -133,11 +112,11 @@ func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weig
 // Repair errors (context cancellation, mid-walk failures) drop the
 // entry instead: its next acquire recreates it cold at the new epoch,
 // with identical answers.
-func (sv *Server) migratePair(ctx context.Context, sh *shard, e *entry, next *generation, dirty []graph.Node, res *DeltaResult) error {
+func (sv *Server) migratePair(ctx context.Context, sh *shard, e *entry, next *generation, dirty []graph.Node, res *DeltaSummary) error {
 	// Settle any pending spill restore first so the migration sees the
 	// entry's real state and restoreOnce never races the swap.
 	sv.ensureRestored(e)
-	in2, err := e.sess.Instance().RebindTo(next.g, next.scheme, dirty)
+	in2, err := e.Core.Instance().RebindTo(next.g, next.scheme, dirty)
 	if err != nil {
 		// The delta dissolved the pair: s and t are adjacent (or the
 		// pair is otherwise invalid on the new graph) — the friending
@@ -146,22 +125,22 @@ func (sv *Server) migratePair(ctx context.Context, sh *shard, e *entry, next *ge
 		if sv.cfg.SpillDir != "" {
 			os.Remove(sv.spillPath(e.key))
 		}
-		sv.pairsDropped.Add(1)
+		sv.ledger[ctrPairsDropped].Add(1)
 		res.PairsDropped++
 		return nil
 	}
-	cs2, st, err := e.sess.RepairTo(ctx, in2, sv.lineage, next.graphFP, dirty)
+	cs2, st, err := e.Core.RepairTo(ctx, in2, sv.lineage, next.graphFP, dirty)
 	if err != nil {
 		sv.dropEntry(sh, e)
 		return err
 	}
-	eval2, est, err := e.eval.RepairTo(ctx, cs2.Engine(), dirty)
+	eval2, est, err := e.Eval.RepairTo(ctx, cs2.Engine(), dirty)
 	if err != nil {
 		sv.dropEntry(sh, e)
 		return err
 	}
 	st.Add(est)
-	e2 := &entry{key: e.key, sess: cs2, eval: eval2, gen: next}
+	e2 := &entry{key: e.key, PairSessions: PairSessions{cs2, eval2}, gen: next}
 	e2.restoreOnce.Do(func() {}) // migrated state must not be overwritten from disk
 
 	sh.mu.Lock()
@@ -186,17 +165,16 @@ func (sv *Server) migratePair(ctx context.Context, sh *shard, e *entry, next *ge
 			e.elem = nil
 		}
 	}
-	e2.bytes = e2.sess.MemBytes() + e2.eval.MemBytes()
+	e2.bytes = e2.memBytes()
 	sv.bytes += e2.bytes
 	e2.elem = sv.lru.PushFront(e2)
 	sv.lruMu.Unlock()
 
-	sv.poolsRepaired.Add(1)
-	sv.repairChunks.Add(int64(st.Resampled))
-	sv.repairDraws.Add(st.DrawsResampled)
-	sv.repairSaved.Add(st.DrawsSaved)
+	sv.noteRepair(int64(st.Resampled), st.DrawsResampled, st.DrawsSaved)
 	res.PairsMigrated++
-	res.Repair.Add(st)
+	res.RepairChunksResampled += st.Resampled
+	res.RepairDrawsResampled += st.DrawsResampled
+	res.RepairDrawsSaved += st.DrawsSaved
 	return nil
 }
 
@@ -208,7 +186,7 @@ func (sv *Server) dropEntry(sh *shard, e *entry) {
 	sh.mu.Lock()
 	if sh.m[e.key] == e {
 		delete(sh.m, e.key)
-		sv.evicted.Add(1)
+		sv.ledger[ctrSessionsEvicted].Add(1)
 	}
 	sh.mu.Unlock()
 	sv.lruMu.Lock()
@@ -228,7 +206,7 @@ func (sv *Server) dropEntry(sh *shard, e *entry) {
 // dissolves (s and t adjacent). Live dissolved pairs already removed
 // their files in migratePair, so everything swept here is a spill-only
 // pair. Files whose names don't parse are left alone.
-func (sv *Server) sweepDissolvedSpills(g2 *graph.Graph, res *DeltaResult) {
+func (sv *Server) sweepDissolvedSpills(g2 *graph.Graph, res *DeltaSummary) {
 	if sv.cfg.SpillDir == "" {
 		return
 	}
@@ -237,16 +215,12 @@ func (sv *Server) sweepDissolvedSpills(g2 *graph.Graph, res *DeltaResult) {
 		return
 	}
 	for _, de := range des {
-		var s, t graph.Node
-		if c, err := fmt.Sscanf(de.Name(), spillPattern, &s, &t); err != nil || c != 2 ||
-			de.Name() != fmt.Sprintf(spillPattern, s, t) {
-			continue
-		}
-		if int(s) >= g2.NumNodes() || int(t) >= g2.NumNodes() || !g2.HasEdge(s, t) {
+		k, ok := parseSpillName(de.Name())
+		if !ok || int(k.s) >= g2.NumNodes() || int(k.t) >= g2.NumNodes() || !g2.HasEdge(k.s, k.t) {
 			continue
 		}
 		if os.Remove(filepath.Join(sv.cfg.SpillDir, de.Name())) == nil {
-			sv.pairsDropped.Add(1)
+			sv.ledger[ctrPairsDropped].Add(1)
 			res.PairsDropped++
 		}
 	}

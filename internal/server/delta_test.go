@@ -240,7 +240,7 @@ func TestSpillLoadErrorKinds(t *testing.T) {
 		return sv.spillPath(pk)
 	}
 
-	load := func(dir string, sv *Server) Stats {
+	load := func(dir string, sv *Server) ServerStats {
 		if _, err := sv.Pmax(ctx, pk.s, pk.t, 3000); err != nil {
 			t.Fatal(err)
 		}

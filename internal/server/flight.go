@@ -49,7 +49,7 @@ func (sv *Server) coalesce(kind Kind, s, t graph.Node, params string, fn func() 
 	v, joined := sv.flights.LoadOrStore(key, &flightCall{})
 	c := v.(*flightCall)
 	if joined {
-		sv.coalesced.Add(1)
+		sv.ledger[ctrCoalesced].Add(1)
 	}
 	c.once.Do(func() {
 		defer sv.flights.Delete(key)

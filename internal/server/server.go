@@ -60,7 +60,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/ltm"
-	"repro/internal/maxaf"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/snapshot"
@@ -105,7 +104,7 @@ type Config struct {
 	// (under the delta mutex, so sweeps never race a migration's own
 	// spill-file maintenance) as spills are written. An expired pair
 	// simply resamples on its next query, which changes no answer; the
-	// sweep is ledgered in Stats.SpillFilesExpired. 0 keeps files
+	// sweep is ledgered in ServerStats.SpillFilesExpired. 0 keeps files
 	// forever.
 	SpillTTL time.Duration
 	// MaxInflight bounds the number of queries executing at once; 0
@@ -139,119 +138,9 @@ const (
 	numKinds
 )
 
-// String returns the ledger label of the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindSolve:
-		return "solve"
-	case KindSolveMax:
-		return "solvemax"
-	case KindEstimateF:
-		return "estimatef"
-	case KindPmax:
-		return "pmax"
-	case KindPmaxEst:
-		return "pmaxest"
-	case KindAcquire:
-		return "acquire"
-	case KindTopK:
-		return "topk"
-	}
-	return "unknown"
-}
-
-// KindCounts is the hit/miss tally for one query kind: a hit found the
-// pair's session cached, a miss created (or re-created, after eviction)
-// it.
-type KindCounts struct {
-	Hits   int64
-	Misses int64
-}
-
-// Stats is the server's observability ledger.
-type Stats struct {
-	// SessionsLive is the number of currently cached pair sessions;
-	// SessionsCreated and SessionsEvicted are lifetime counters (a pair
-	// recreated after eviction counts as created again). An eviction is
-	// counted exactly when its pair leaves the cache, so at quiescence
-	// (no queries in flight) SessionsLive == SessionsCreated −
-	// SessionsEvicted; a snapshot taken mid-eviction may transiently see
-	// the map shrink before the counter settles.
-	SessionsLive    int
-	SessionsCreated int64
-	SessionsEvicted int64
-	// BytesHeld is the accounted size of all cached pair state. After an
-	// eviction pass it never exceeds Config.MaxPoolBytes.
-	BytesHeld int64
-	// Spills counts evictions (and SpillAll flushes) that wrote the
-	// victim's pools to SpillDir, totalling SpillBytes on disk; with no
-	// SpillDir both stay zero and eviction discards.
-	Spills     int64
-	SpillBytes int64
-	// SpillLoads counts pair re-admissions whose pools were restored
-	// from a spill file (SpillLoadBytes read) instead of resampled;
-	// SpillDrawsSaved totals the pool draws those loads avoided — the
-	// load-vs-resample win. SpillLoadErrors counts spill files rejected
-	// or unreadable, split by cause: checksum failures, format-version
-	// skew, stream-identity mismatches (wrong seed or namespace),
-	// instance mismatches (a fingerprint matching neither the current
-	// epoch nor a lineage ancestor), and everything else (I/O errors,
-	// truncation). SpillWriteErrors counts failed snapshot writes (the
-	// previous file, if any, is left intact); the pair then resamples on
-	// its next admission, which changes no answer.
-	SpillLoads           int64
-	SpillLoadBytes       int64
-	SpillDrawsSaved      int64
-	SpillLoadErrors      int64
-	SpillLoadErrChecksum int64
-	SpillLoadErrVersion  int64
-	SpillLoadErrStream   int64
-	SpillLoadErrInstance int64
-	SpillLoadErrOther    int64
-	SpillWriteErrors     int64
-	// SpillFilesExpired counts spill files deleted by the TTL sweep
-	// (Config.SpillTTL): snapshots not rewritten within the TTL. The
-	// affected pairs resample on their next admission — a latency event,
-	// never a correctness event.
-	SpillFilesExpired int64
-	// Inflight and Queued are the admission gate's current occupancy:
-	// queries executing and queries waiting for a slot. Admitted and
-	// Rejected are lifetime counters — every query entering a public
-	// query method either admits (possibly after queueing), rejects with
-	// ErrOverloaded, or gives up waiting (context cancellation; counted
-	// in neither). All zero with admission disabled (MaxInflight ≤ 0).
-	Inflight int
-	Queued   int
-	Admitted int64
-	Rejected int64
-	// DeltasApplied counts ApplyDelta calls that actually changed the
-	// graph or its weights (no-op deltas advance nothing). PairsDropped
-	// counts pairs dissolved by a delta — their (s,t) became adjacent,
-	// the problem is solved — including spill-only pairs whose files
-	// were swept. PoolsRepaired counts pair migrations and spill loads
-	// that carried state across epochs by repair; RepairChunksResampled
-	// / RepairDrawsResampled are the chunks and draws those repairs
-	// re-drew, and RepairDrawsSaved the draws adopted verbatim — what a
-	// discard-and-resample would have paid on top.
-	DeltasApplied         int64
-	PairsDropped          int64
-	PoolsRepaired         int64
-	RepairChunksResampled int64
-	RepairDrawsResampled  int64
-	RepairDrawsSaved      int64
-	// PmaxDrawsReused totals the Algorithm 2 stopping-rule draws that
-	// queries (Solve step 2 and PmaxEstimate) answered from a pair's
-	// retained estimator ledger instead of resampling — the refinement
-	// win, the p_max analog of SpillDrawsSaved.
-	PmaxDrawsReused int64
-	// Coalesced counts queries that joined an identical in-flight query
-	// (same kind, pair, parameters and graph epoch) instead of paying
-	// their own computation — two racing clients previously both paid a
-	// cold pool. See Server.coalesce.
-	Coalesced int64
-	// ByKind indexes hit/miss tallies by Kind.
-	ByKind [numKinds]KindCounts
-}
+// kindCounters is one kind's hit/miss tally: a hit found the pair's
+// session cached, a miss created (or re-created, after eviction) it.
+type kindCounters struct{ hits, misses atomic.Int64 }
 
 type pairKey struct{ s, t graph.Node }
 
@@ -263,13 +152,12 @@ type pairKey struct{ s, t graph.Node }
 // acquirer AFTER the entry is published — off the shard lock, so a slow
 // disk never stalls unrelated pairs on the same shard; later acquirers
 // of the same pair block on the Once (they would block on the cold
-// pool's sampling otherwise). sess/eval are replaced only inside the
+// pool's sampling otherwise). The sessions are replaced only inside the
 // Once, which happens-before every use.
 type entry struct {
-	key  pairKey
-	sess *core.Session
-	eval *engine.Session
-	gen  *generation // the epoch the sessions were built (or migrated) for
+	key pairKey
+	PairSessions
+	gen *generation // the epoch the sessions were built (or migrated) for
 
 	restoreOnce sync.Once
 	loaded      bool  // restored from a spill file; written inside restoreOnce
@@ -313,25 +201,10 @@ type Server struct {
 	lineage *engine.Lineage
 	deltaMu sync.Mutex
 
-	created atomic.Int64
-	evicted atomic.Int64
-	kinds   [numKinds]struct{ hits, misses atomic.Int64 }
-
-	spills               atomic.Int64
-	spillBytes           atomic.Int64
-	spillLoads           atomic.Int64
-	spillLoadBytes       atomic.Int64
-	spillDrawsSaved      atomic.Int64
-	spillLoadErrors      atomic.Int64
-	spillLoadErrChecksum atomic.Int64
-	spillLoadErrVersion  atomic.Int64
-	spillLoadErrStream   atomic.Int64
-	spillLoadErrInstance atomic.Int64
-	spillLoadErrOther    atomic.Int64
-	spillWriteErrors     atomic.Int64
-	spillExpired         atomic.Int64
-	pmaxDrawsReused      atomic.Int64
-	coalesced            atomic.Int64
+	// ledger holds the lifetime counters declared in the ledger table
+	// (ledger.go); kinds the per-kind session hit/miss tallies.
+	ledger [numCounters]atomic.Int64
+	kinds  [numKinds]kindCounters
 
 	// adm is the admission gate (nil with MaxInflight ≤ 0); lastSweep is
 	// the unix-nano time of the last spill TTL sweep, CAS-guarded so at
@@ -341,13 +214,6 @@ type Server struct {
 
 	// flights holds in-flight coalescable queries; see coalesce.
 	flights sync.Map // flightKey -> *flightCall
-
-	deltasApplied atomic.Int64
-	pairsDropped  atomic.Int64
-	poolsRepaired atomic.Int64
-	repairChunks  atomic.Int64
-	repairDraws   atomic.Int64
-	repairSaved   atomic.Int64
 
 	// lruMu guards the recency list and the byte ledger. It is only ever
 	// held for O(1) bookkeeping plus eviction passes; pool sampling,
@@ -369,7 +235,7 @@ func New(g *graph.Graph, scheme weights.Scheme, cfg Config) *Server {
 		cfg.Shards = DefaultShards
 	}
 	sv := &Server{cfg: cfg, shards: make([]shard, cfg.Shards), lru: list.New()}
-	sv.adm = newAdmission(cfg.MaxInflight, cfg.MaxQueue)
+	sv.adm = newAdmission(cfg.MaxInflight, cfg.MaxQueue, &sv.ledger[ctrAdmitted], &sv.ledger[ctrRejected])
 	gfp := engine.GraphFingerprint(g, scheme)
 	sv.gen.Store(&generation{g: g, scheme: scheme, graphFP: gfp})
 	sv.lineage = engine.NewLineage(gfp)
@@ -429,12 +295,9 @@ func (sv *Server) acquire(ctx context.Context, kind Kind, s, t graph.Node) (*ent
 			sh.mu.Unlock()
 			return nil, err
 		}
-		seed := sv.pairSeed(k)
-		cs := core.NewSession(in, seed, sv.cfg.Workers)
-		cs.Engine().Bind(sv.lineage, gen.graphFP)
-		e = &entry{key: k, sess: cs, eval: cs.Engine().NewEvalSession(seed, sv.cfg.Workers), gen: gen}
+		e = &entry{key: k, PairSessions: sv.newSessions(in, k, gen), gen: gen}
 		sh.m[k] = e
-		sv.created.Add(1)
+		sv.ledger[ctrSessionsCreated].Add(1)
 	}
 	sh.mu.Unlock()
 	sv.ensureRestored(e)
@@ -453,6 +316,14 @@ func (sv *Server) acquire(ctx context.Context, kind Kind, s, t graph.Node) (*ent
 	return e, nil
 }
 
+// newSessions opens the pair's sessions on its derived streams, bound to
+// the epoch lineage so ancestor spill blobs can be adopted and repaired.
+func (sv *Server) newSessions(in *ltm.Instance, k pairKey, gen *generation) PairSessions {
+	p := NewPairSessions(in, sv.pairSeed(k), sv.cfg.Workers)
+	p.Core.Engine().Bind(sv.lineage, gen.graphFP)
+	return p
+}
+
 // release re-measures the entry's resident bytes, settles the ledger and
 // evicts cold pairs if the budget is exceeded. Called after every query,
 // when the pools have grown to their final size. The measurement happens
@@ -468,7 +339,7 @@ func (sv *Server) release(e *entry) {
 		sv.lruMu.Unlock()
 		return
 	}
-	mem := e.sess.MemBytes() + e.eval.MemBytes()
+	mem := e.memBytes()
 	sv.bytes += mem - e.bytes
 	e.bytes = mem
 	victims := sv.evictLocked()
@@ -505,7 +376,7 @@ func (sv *Server) evictLocked() []*entry {
 		sh.mu.Lock()
 		if sh.m[victim.key] == victim {
 			delete(sh.m, victim.key)
-			sv.evicted.Add(1)
+			sv.ledger[ctrSessionsEvicted].Add(1)
 		}
 		sh.mu.Unlock()
 		if sv.cfg.SpillDir != "" {
@@ -516,7 +387,7 @@ func (sv *Server) evictLocked() []*entry {
 }
 
 // ensureRestored runs the entry's one-time spill restore. Every reader
-// of e.sess/e.eval must pass through it (acquire does; writeSpill does
+// of e.Core/e.Eval must pass through it (acquire does; writeSpill does
 // for SpillAll's sake): a concurrent Do blocks until the first finishes,
 // so nobody can observe the sessions while a partial-restore reset is
 // replacing them. A no-op once done, or without a spill directory.
@@ -533,6 +404,18 @@ func (sv *Server) spillPath(k pairKey) string {
 	return filepath.Join(sv.cfg.SpillDir, fmt.Sprintf(spillPattern, k.s, k.t))
 }
 
+// parseSpillName reports the pair a spill file name belongs to. Sscanf
+// tolerates trailing input, so the name must also re-render exactly:
+// orphaned *.tmp* debris and foreign files are not spill blobs.
+func parseSpillName(name string) (pairKey, bool) {
+	var k pairKey
+	if c, err := fmt.Sscanf(name, spillPattern, &k.s, &k.t); err != nil || c != 2 ||
+		name != fmt.Sprintf(spillPattern, k.s, k.t) {
+		return pairKey{}, false
+	}
+	return k, true
+}
+
 // writeSpill snapshots the entry's solve and evaluation pools into the
 // pair's spill file via snapshot.WriteFileFunc (write-temp + fsync +
 // rename, so a reader — or a crash — never observes a torn file).
@@ -547,21 +430,21 @@ func (sv *Server) writeSpill(e *entry) error {
 	// of (seed, draws)): skip the redundant write — warming a spill dir
 	// larger than the byte budget would otherwise rewrite every
 	// over-budget file it just read.
-	if e.loaded && e.sess.PoolSize()+e.eval.Size()+e.sess.PmaxEstimator().Draws() == e.loadedDraws {
+	if e.loaded && e.draws() == e.loadedDraws {
 		return nil
 	}
 	n, err := snapshot.WriteFileFunc(sv.spillPath(e.key), func(w io.Writer) error {
-		if err := e.sess.Snapshot(w); err != nil {
+		if err := e.Core.Snapshot(w); err != nil {
 			return err
 		}
-		return e.eval.Snapshot(w)
+		return e.Eval.Snapshot(w)
 	})
 	if err != nil {
-		sv.spillWriteErrors.Add(1)
+		sv.ledger[ctrSpillWriteErrors].Add(1)
 		return err
 	}
-	sv.spills.Add(1)
-	sv.spillBytes.Add(n)
+	sv.ledger[ctrSpills].Add(1)
+	sv.ledger[ctrSpillBytes].Add(n)
 	// A write is the natural periodic hook for TTL'd GC: the spill dir
 	// only grows when something is written to it.
 	sv.maybeSweepExpiredSpills()
@@ -573,19 +456,18 @@ func (sv *Server) writeSpill(e *entry) error {
 // (version), misconfiguration (stream identity: wrong seed or
 // namespace), and topology drift past the lineage's memory (instance).
 func (sv *Server) noteLoadError(err error) {
-	sv.spillLoadErrors.Add(1)
+	cause := ctrSpillLoadErrOther
 	switch {
 	case errors.Is(err, snapshot.ErrChecksum):
-		sv.spillLoadErrChecksum.Add(1)
+		cause = ctrSpillLoadErrChecksum
 	case errors.Is(err, snapshot.ErrVersion):
-		sv.spillLoadErrVersion.Add(1)
+		cause = ctrSpillLoadErrVersion
 	case errors.Is(err, engine.ErrStreamMismatch):
-		sv.spillLoadErrStream.Add(1)
+		cause = ctrSpillLoadErrStream
 	case errors.Is(err, engine.ErrInstanceMismatch):
-		sv.spillLoadErrInstance.Add(1)
-	default:
-		sv.spillLoadErrOther.Add(1)
+		cause = ctrSpillLoadErrInstance
 	}
+	sv.ledger[cause].Add(1)
 }
 
 // restoreSpill loads the pair's spill file, if any, into its freshly
@@ -616,41 +498,43 @@ func (sv *Server) restoreSpill(e *entry) {
 		}(time.Now())
 	}
 	br := bufio.NewReaderSize(f, 1<<20)
-	if err := e.sess.Restore(br); err != nil {
+	if err := e.Core.Restore(br); err != nil {
 		sv.noteLoadError(err)
 		return
 	}
-	if err := e.eval.Restore(br); err != nil {
+	if err := e.Eval.Restore(br); err != nil {
 		// The solve pool loaded but the eval pool did not: drop the
 		// half-restored state (recreating the sessions is cheap and
 		// answer-invariant) so SpillLoads/SpillDrawsSaved count exactly
 		// the pairs that really came from disk.
-		seed := sv.pairSeed(e.key)
-		cs := core.NewSession(e.sess.Instance(), seed, sv.cfg.Workers)
-		cs.Engine().Bind(sv.lineage, e.gen.graphFP)
-		e.sess, e.eval = cs, cs.Engine().NewEvalSession(seed, sv.cfg.Workers)
+		e.PairSessions = sv.newSessions(e.Core.Instance(), e.key, e.gen)
 		sv.noteLoadError(err)
 		return
 	}
 	e.loaded = true
-	e.loadedDraws = e.sess.PoolSize() + e.eval.Size() + e.sess.PmaxEstimator().Draws()
-	sv.spillLoads.Add(1)
+	e.loadedDraws = e.draws()
+	sv.ledger[ctrSpillLoads].Add(1)
 	if st, err := f.Stat(); err == nil {
-		sv.spillLoadBytes.Add(st.Size())
+		sv.ledger[ctrSpillLoadBytes].Add(st.Size())
 	}
-	sv.spillDrawsSaved.Add(e.loadedDraws)
+	sv.ledger[ctrSpillDrawsSaved].Add(e.loadedDraws)
 	// An ancestor-epoch blob was adopted and repaired on the way in; the
 	// session's engine is fresh (created with the entry), so its repair
 	// ledger is exactly this load's bill.
-	eng := e.sess.Engine()
+	eng := e.Core.Engine()
 	if rd, rs := eng.RepairDrawsResampled(), eng.RepairDrawsSaved(); rd > 0 || rs > 0 {
-		sv.poolsRepaired.Add(1)
-		sv.repairDraws.Add(rd)
-		sv.repairSaved.Add(rs)
-		sv.repairChunks.Add(eng.RepairChunksResampled())
+		sv.noteRepair(eng.RepairChunksResampled(), rd, rs)
 		// Draws a repair re-made did not come from disk.
-		sv.spillDrawsSaved.Add(-rd)
+		sv.ledger[ctrSpillDrawsSaved].Add(-rd)
 	}
+}
+
+// noteRepair ledgers one pair carried across epochs by repair.
+func (sv *Server) noteRepair(chunks, drawsResampled, drawsSaved int64) {
+	sv.ledger[ctrPoolsRepaired].Add(1)
+	sv.ledger[ctrRepairChunksResampled].Add(chunks)
+	sv.ledger[ctrRepairDrawsResampled].Add(drawsResampled)
+	sv.ledger[ctrRepairDrawsSaved].Add(drawsSaved)
 }
 
 // SpillAll snapshots every live pair to SpillDir without evicting — the
@@ -713,14 +597,11 @@ func (sv *Server) Warm() (int, error) {
 	}
 	n := 0
 	for _, de := range des {
-		var s, t graph.Node
-		// Sscanf tolerates trailing input, so require an exact re-render
-		// match too — orphaned *.tmp* debris must not admit a pair twice.
-		if c, err := fmt.Sscanf(de.Name(), spillPattern, &s, &t); err != nil || c != 2 ||
-			de.Name() != fmt.Sprintf(spillPattern, s, t) {
+		k, ok := parseSpillName(de.Name())
+		if !ok {
 			continue
 		}
-		h, err := sv.Pair(s, t)
+		h, err := sv.Pair(k.s, k.t)
 		if err != nil {
 			continue
 		}
@@ -732,23 +613,24 @@ func (sv *Server) Warm() (int, error) {
 	return n, nil
 }
 
-// Solve runs RAF for (s,t) against the pair's cached session. cfg.Seed
-// and cfg.Workers are ignored in favor of the server's per-pair streams.
-// Concurrent identical calls coalesce into one execution (see coalesce).
-// Subject to admission control (Config.MaxInflight), like every public
-// query method.
-func (sv *Server) Solve(ctx context.Context, s, t graph.Node, cfg core.Config) (*core.Result, error) {
+// Solve runs RAF for (s,t) against the pair's cached session, with opts'
+// defaults resolved. opts.Seed and opts.Workers are ignored in favor of
+// the server's per-pair streams. Concurrent identical calls coalesce into
+// one execution (see coalesce). Subject to admission control
+// (Config.MaxInflight), like every public query method.
+func (sv *Server) Solve(ctx context.Context, s, t graph.Node, opts Options) (*Solution, error) {
 	if err := sv.admit(ctx); err != nil {
 		return nil, err
 	}
 	defer sv.admitDone()
+	cfg := opts.coreConfig()
 	v, err := sv.coalesce(KindSolve, s, t, pairParams(fmt.Sprintf("%+v", cfg)), func() (any, error) {
 		return sv.solve(ctx, s, t, cfg)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*core.Result), nil
+	return newSolution(v.(*core.Result)), nil
 }
 
 func (sv *Server) solve(ctx context.Context, s, t graph.Node, cfg core.Config) (res *core.Result, err error) {
@@ -759,129 +641,58 @@ func (sv *Server) solve(ctx context.Context, s, t graph.Node, cfg core.Config) (
 		return nil, err
 	}
 	defer sv.release(e)
-	res, err = e.sess.RAF(ctx, cfg)
+	res, err = e.Core.RAF(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sv.pmaxDrawsReused.Add(res.PmaxReused)
+	sv.ledger[ctrPmaxDrawsReused].Add(res.PmaxReused)
 	return res, nil
 }
 
 // SolveMax runs the budgeted maximum variant for (s,t) against the
 // pair's cached solve pool (realizations ≤ 0 selects the default size)
 // and re-measures the chosen set on the pair's decorrelated evaluation
-// pool. It returns the solver result (whose CoveredFraction is the
-// biased in-pool fraction) together with the decorrelated estimate.
-// Concurrent identical calls coalesce into one execution (see coalesce).
-func (sv *Server) SolveMax(ctx context.Context, s, t graph.Node, budget int, realizations int64) (*maxaf.Result, float64, error) {
+// pool; see PairSessions.SolveMax. Concurrent identical calls coalesce
+// into one execution (see coalesce).
+func (sv *Server) SolveMax(ctx context.Context, s, t graph.Node, budget int, realizations int64) (*MaxSolution, error) {
+	sols, err := sv.solveMaxQuery(ctx, s, t, pairParams("max", budget, realizations), func(p PairSessions) (maxRun, error) {
+		return p.solveMax(ctx, budget, realizations)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sols[0], nil
+}
+
+// SolveMaxBudgets answers a whole budget sweep for (s,t) in one shot
+// against the pair's cached pools; see PairSessions.SolveMaxBudgets.
+// Results are identical to calling SolveMax per budget. Concurrent
+// identical calls coalesce into one execution (see coalesce).
+func (sv *Server) SolveMaxBudgets(ctx context.Context, s, t graph.Node, budgets []int, realizations int64) ([]*MaxSolution, error) {
+	return sv.solveMaxQuery(ctx, s, t, pairParams("sweep", budgets, realizations), func(p PairSessions) (maxRun, error) {
+		return p.solveMaxBudgets(ctx, budgets, realizations)
+	})
+}
+
+func (sv *Server) solveMaxQuery(ctx context.Context, s, t graph.Node, params string, solve func(PairSessions) (maxRun, error)) ([]*MaxSolution, error) {
 	if err := sv.admit(ctx); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	defer sv.admitDone()
-	type out struct {
-		res *maxaf.Result
-		f   float64
-	}
-	v, err := sv.coalesce(KindSolveMax, s, t, pairParams("max", budget, realizations), func() (any, error) {
-		res, f, err := sv.solveMax(ctx, s, t, budget, realizations)
+	v, err := sv.coalesce(KindSolveMax, s, t, params, func() (_ any, err error) {
+		ctx, obsEnd := sv.obsBegin(ctx, KindSolveMax)
+		defer func() { obsEnd(err) }()
+		e, err := sv.acquire(ctx, KindSolveMax, s, t)
 		if err != nil {
 			return nil, err
 		}
-		return out{res, f}, nil
+		defer sv.release(e)
+		return solve(e.PairSessions)
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	o := v.(out)
-	return o.res, o.f, nil
-}
-
-func (sv *Server) solveMax(ctx context.Context, s, t graph.Node, budget int, realizations int64) (_ *maxaf.Result, _ float64, err error) {
-	ctx, obsEnd := sv.obsBegin(ctx, KindSolveMax)
-	defer func() { obsEnd(err) }()
-	e, err := sv.acquire(ctx, KindSolveMax, s, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer sv.release(e)
-	l := realizations
-	if l <= 0 {
-		l = maxaf.DefaultRealizations
-	}
-	pool, err := e.sess.Pool(ctx, l)
-	if err != nil {
-		return nil, 0, err
-	}
-	res, err := maxaf.SolveFromPool(ctx, e.sess.Instance(), budget, pool)
-	if err != nil {
-		return nil, 0, err
-	}
-	f, err := e.eval.EstimateF(ctx, res.Invited, l)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, f, nil
-}
-
-// SolveMaxBudgets answers a whole budget sweep for (s,t) in one shot: the
-// budgeted greedy runs against the pair's cached pool with one reused
-// solver (the pool's set-cover family is folded once), and both the
-// in-pool fractions and the decorrelated estimates come from batched
-// coverage queries — one postings traversal per pool for the entire
-// sweep. Results are identical to calling SolveMax per budget.
-// Concurrent identical calls coalesce into one execution (see coalesce).
-func (sv *Server) SolveMaxBudgets(ctx context.Context, s, t graph.Node, budgets []int, realizations int64) ([]*maxaf.Result, []float64, error) {
-	if err := sv.admit(ctx); err != nil {
-		return nil, nil, err
-	}
-	defer sv.admitDone()
-	type out struct {
-		res []*maxaf.Result
-		fs  []float64
-	}
-	v, err := sv.coalesce(KindSolveMax, s, t, pairParams("sweep", budgets, realizations), func() (any, error) {
-		res, fs, err := sv.solveMaxBudgets(ctx, s, t, budgets, realizations)
-		if err != nil {
-			return nil, err
-		}
-		return out{res, fs}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	o := v.(out)
-	return o.res, o.fs, nil
-}
-
-func (sv *Server) solveMaxBudgets(ctx context.Context, s, t graph.Node, budgets []int, realizations int64) (_ []*maxaf.Result, _ []float64, err error) {
-	ctx, obsEnd := sv.obsBegin(ctx, KindSolveMax)
-	defer func() { obsEnd(err) }()
-	e, err := sv.acquire(ctx, KindSolveMax, s, t)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer sv.release(e)
-	l := realizations
-	if l <= 0 {
-		l = maxaf.DefaultRealizations
-	}
-	pool, err := e.sess.Pool(ctx, l)
-	if err != nil {
-		return nil, nil, err
-	}
-	results, err := maxaf.SolveBudgetsFromPool(ctx, e.sess.Instance(), budgets, pool)
-	if err != nil {
-		return nil, nil, err
-	}
-	sets := make([]*graph.NodeSet, len(results))
-	for i, r := range results {
-		sets[i] = r.Invited
-	}
-	fs, err := e.eval.EstimateFMany(ctx, sets, l)
-	if err != nil {
-		return nil, nil, err
-	}
-	return results, fs, nil
+	return v.(maxRun).solutions(), nil
 }
 
 // EstimateF estimates f(invited) for (s,t) as a coverage query against
@@ -898,7 +709,17 @@ func (sv *Server) EstimateF(ctx context.Context, s, t graph.Node, invited *graph
 		return 0, err
 	}
 	defer sv.release(e)
-	return e.eval.EstimateF(ctx, invited, trials)
+	return e.Eval.EstimateF(ctx, invited, trials)
+}
+
+// AcceptanceProbability validates invited against the current graph and
+// estimates f(invited) for (s,t); see EstimateF.
+func (sv *Server) AcceptanceProbability(ctx context.Context, s, t graph.Node, invited []graph.Node, trials int64) (float64, error) {
+	set, err := InvitedSet(sv.Graph(), invited)
+	if err != nil {
+		return 0, err
+	}
+	return sv.EstimateF(ctx, s, t, set, trials)
 }
 
 // Pmax estimates p_max for (s,t) from the pair's evaluation pool — the
@@ -928,41 +749,42 @@ func (sv *Server) pmaxQuery(ctx context.Context, s, t graph.Node, trials int64) 
 		return 0, err
 	}
 	defer sv.release(e)
-	return e.eval.FractionType1(ctx, trials)
+	return e.Eval.FractionType1(ctx, trials)
 }
 
-// PmaxEstimate runs the Algorithm 2 stopping rule for (s,t) at relative
-// error eps0 and failure probability 1/n under a draw budget (0 =
-// unbounded), through the pair's retained estimator ledger: repeated or
-// refined requests for one pair reuse every draw already paid for (the
-// reuse is ledgered in Stats().PmaxDrawsReused), and the estimator state
-// rides the spill tier across eviction and restarts. The result is a
-// pure function of (Seed, s, t, eps0, n, maxDraws). Concurrent identical
-// calls coalesce into one execution (see coalesce).
-func (sv *Server) PmaxEstimate(ctx context.Context, s, t graph.Node, eps0, n float64, maxDraws int64) (engine.PmaxResult, error) {
+// PmaxEstimate runs the Algorithm 2 stopping rule for (s,t) through the
+// pair's retained estimator ledger, with PairSessions.EstimatePmax's
+// parameter defaults: repeated or refined requests for one pair reuse
+// every draw already paid for (the reuse is ledgered in
+// Stats().PmaxDrawsReused), and the estimator state rides the spill tier
+// across eviction and restarts. The result is a pure function of (Seed,
+// s, t, eps0, n, maxDraws). Concurrent identical calls coalesce into one
+// execution (see coalesce).
+func (sv *Server) PmaxEstimate(ctx context.Context, s, t graph.Node, eps0, n float64, maxDraws int64) (PmaxEstimate, error) {
 	if err := sv.admit(ctx); err != nil {
-		return engine.PmaxResult{}, err
+		return PmaxEstimate{}, err
 	}
 	defer sv.admitDone()
+	eps0, n, maxDraws = pmaxArgs(eps0, n, maxDraws)
 	v, err := sv.coalesce(KindPmaxEst, s, t, pairParams(eps0, n, maxDraws), func() (any, error) {
 		return sv.pmaxEstimate(ctx, s, t, eps0, n, maxDraws)
 	})
 	if err != nil {
-		return engine.PmaxResult{}, err
+		return PmaxEstimate{}, err
 	}
-	return v.(engine.PmaxResult), nil
+	return v.(PmaxEstimate), nil
 }
 
-func (sv *Server) pmaxEstimate(ctx context.Context, s, t graph.Node, eps0, n float64, maxDraws int64) (_ engine.PmaxResult, err error) {
+func (sv *Server) pmaxEstimate(ctx context.Context, s, t graph.Node, eps0, n float64, maxDraws int64) (_ PmaxEstimate, err error) {
 	ctx, obsEnd := sv.obsBegin(ctx, KindPmaxEst)
 	defer func() { obsEnd(err) }()
 	e, err := sv.acquire(ctx, KindPmaxEst, s, t)
 	if err != nil {
-		return engine.PmaxResult{}, err
+		return PmaxEstimate{}, err
 	}
 	defer sv.release(e)
-	res, err := e.sess.EstimatePmax(ctx, eps0, n, maxDraws)
-	sv.pmaxDrawsReused.Add(res.Reused)
+	res, err := e.estimatePmax(ctx, eps0, n, maxDraws)
+	sv.ledger[ctrPmaxDrawsReused].Add(res.Reused)
 	return res, err
 }
 
@@ -984,64 +806,15 @@ func (sv *Server) Pair(s, t graph.Node) (*PairHandle, error) {
 }
 
 // Core returns the pair's solve session.
-func (h *PairHandle) Core() *core.Session { return h.e.sess }
+func (h *PairHandle) Core() *core.Session { return h.e.Core }
 
 // Eval returns the pair's evaluation-pool session.
-func (h *PairHandle) Eval() *engine.Session { return h.e.eval }
+func (h *PairHandle) Eval() *engine.Session { return h.e.Eval }
 
 // Instance returns the pair's problem instance.
-func (h *PairHandle) Instance() *ltm.Instance { return h.e.sess.Instance() }
+func (h *PairHandle) Instance() *ltm.Instance { return h.e.Core.Instance() }
 
 // Done settles the pair's byte accounting and runs eviction. The handle
 // stays usable afterwards (an evicted pair keeps working for in-flight
 // holders; the server just stops charging for it).
 func (h *PairHandle) Done() { h.sv.release(h.e) }
-
-// Stats returns a snapshot of the server's ledger.
-func (sv *Server) Stats() Stats {
-	st := Stats{
-		SessionsCreated:      sv.created.Load(),
-		SessionsEvicted:      sv.evicted.Load(),
-		Spills:               sv.spills.Load(),
-		SpillBytes:           sv.spillBytes.Load(),
-		SpillLoads:           sv.spillLoads.Load(),
-		SpillLoadBytes:       sv.spillLoadBytes.Load(),
-		SpillDrawsSaved:      sv.spillDrawsSaved.Load(),
-		SpillLoadErrors:      sv.spillLoadErrors.Load(),
-		SpillLoadErrChecksum: sv.spillLoadErrChecksum.Load(),
-		SpillLoadErrVersion:  sv.spillLoadErrVersion.Load(),
-		SpillLoadErrStream:   sv.spillLoadErrStream.Load(),
-		SpillLoadErrInstance: sv.spillLoadErrInstance.Load(),
-		SpillLoadErrOther:    sv.spillLoadErrOther.Load(),
-		SpillWriteErrors:     sv.spillWriteErrors.Load(),
-		SpillFilesExpired:    sv.spillExpired.Load(),
-		PmaxDrawsReused:      sv.pmaxDrawsReused.Load(),
-		Coalesced:            sv.coalesced.Load(),
-
-		DeltasApplied:         sv.deltasApplied.Load(),
-		PairsDropped:          sv.pairsDropped.Load(),
-		PoolsRepaired:         sv.poolsRepaired.Load(),
-		RepairChunksResampled: sv.repairChunks.Load(),
-		RepairDrawsResampled:  sv.repairDraws.Load(),
-		RepairDrawsSaved:      sv.repairSaved.Load(),
-	}
-	if a := sv.adm; a != nil {
-		st.Inflight = int(a.inflight.Load())
-		st.Queued = int(a.queued.Load())
-		st.Admitted = a.admitted.Load()
-		st.Rejected = a.rejected.Load()
-	}
-	for k := range st.ByKind {
-		st.ByKind[k] = KindCounts{Hits: sv.kinds[k].hits.Load(), Misses: sv.kinds[k].misses.Load()}
-	}
-	for i := range sv.shards {
-		sh := &sv.shards[i]
-		sh.mu.Lock()
-		st.SessionsLive += len(sh.m)
-		sh.mu.Unlock()
-	}
-	sv.lruMu.Lock()
-	st.BytesHeld = sv.bytes
-	sv.lruMu.Unlock()
-	return st
-}

@@ -41,7 +41,7 @@ func validPairs(g *graph.Graph, want int) []pairKey {
 	return out
 }
 
-var solveCfg = core.Config{Alpha: 0.3, Eps: 0.1, N: 50, OverrideL: 3000, MaxPmaxDraws: 50000}
+var solveCfg = Options{Alpha: 0.3, Eps: 0.1, N: 50, Realizations: 3000, MaxPmaxDraws: 50000}
 
 // queryAll runs a fixed mixed workload (every pair × every query kind,
 // with repeats) sequentially and returns the answers as strings (errors
@@ -64,20 +64,20 @@ func queryAll(t *testing.T, sv *Server, pairs []pairKey, rounds int) []string {
 			if err != nil {
 				out = append(out, fmt.Sprintf("solve(%d,%d)=err:%v", pk.s, pk.t, errors.Is(err, core.ErrTargetUnreachable)))
 			} else {
-				out = append(out, fmt.Sprintf("solve(%d,%d)=%v|%.9f", pk.s, pk.t, res.Invited.Members(), res.PStar))
+				out = append(out, fmt.Sprintf("solve(%d,%d)=%v|%.9f", pk.s, pk.t, res.Invited, res.PStar))
 			}
-			mres, mf, err := sv.SolveMax(ctx, pk.s, pk.t, 3, 2000)
+			mres, err := sv.SolveMax(ctx, pk.s, pk.t, 3, 2000)
 			if err != nil {
 				out = append(out, fmt.Sprintf("smax(%d,%d)=err:%v", pk.s, pk.t, errors.Is(err, core.ErrTargetUnreachable)))
 			} else {
-				out = append(out, fmt.Sprintf("smax(%d,%d)=%v|%.9f|%.9f", pk.s, pk.t, mres.Invited.Members(), mres.CoveredFraction, mf))
+				out = append(out, fmt.Sprintf("smax(%d,%d)=%v|%.9f|%.9f", pk.s, pk.t, mres.Invited, mres.TrainF, mres.EstimatedF))
 			}
-			// Estimate/Draws/Truncated are pure functions of (seed, s, t,
+			// Value/Draws/Truncated are pure functions of (seed, s, t,
 			// eps0, n, budget); Reused/Sampled legitimately vary with the
 			// eviction schedule and are excluded from the answer identity.
 			pe, err := sv.PmaxEstimate(ctx, pk.s, pk.t, 0.25, 50, 20000)
 			out = append(out, fmt.Sprintf("pmaxest(%d,%d)=%.9f|%d|%v/%v", pk.s, pk.t,
-				pe.Estimate, pe.Draws, pe.Truncated, err != nil))
+				pe.Value, pe.Draws, pe.Truncated, err != nil))
 		}
 	}
 	return out
@@ -184,7 +184,7 @@ func TestStatsLedger(t *testing.T) {
 	if st.SessionsLive != len(pairs) || st.SessionsCreated != int64(len(pairs)) {
 		t.Errorf("live/created = %d/%d, want %d/%d", st.SessionsLive, st.SessionsCreated, len(pairs), len(pairs))
 	}
-	if c := st.ByKind[KindPmax]; c.Misses != int64(len(pairs)) || c.Hits != int64(len(pairs)) {
+	if c := st.Pmax; c.Misses != int64(len(pairs)) || c.Hits != int64(len(pairs)) {
 		t.Errorf("pmax hit/miss = %d/%d, want %d/%d", c.Hits, c.Misses, len(pairs), len(pairs))
 	}
 	if st.BytesHeld <= 0 {
@@ -251,7 +251,7 @@ func TestPairHandle(t *testing.T) {
 	if _, err := sv.Pmax(ctx, pk.s, pk.t, 5000); err != nil {
 		t.Fatal(err)
 	}
-	if c := sv.Stats().ByKind[KindPmax]; c.Hits != 1 || c.Misses != 0 {
+	if c := sv.Stats().Pmax; c.Hits != 1 || c.Misses != 0 {
 		t.Errorf("pmax hit/miss = %d/%d, want 1/0 (handle session not shared)", c.Hits, c.Misses)
 	}
 }
@@ -270,7 +270,7 @@ func TestSolveMaxBudgetsMatchesSolveMax(t *testing.T) {
 	budgets := []int{1, 2, 4, 8}
 	for _, pk := range pairs {
 		sweepSv := New(g, weights.NewDegree(g), Config{Seed: 5})
-		results, fs, err := sweepSv.SolveMaxBudgets(ctx, pk.s, pk.t, budgets, 3000)
+		results, err := sweepSv.SolveMaxBudgets(ctx, pk.s, pk.t, budgets, 3000)
 		if err != nil {
 			if errors.Is(err, core.ErrTargetUnreachable) {
 				continue
@@ -279,19 +279,19 @@ func TestSolveMaxBudgetsMatchesSolveMax(t *testing.T) {
 		}
 		singleSv := New(g, weights.NewDegree(g), Config{Seed: 5})
 		for i, b := range budgets {
-			res, f, err := singleSv.SolveMax(ctx, pk.s, pk.t, b, 3000)
+			res, err := singleSv.SolveMax(ctx, pk.s, pk.t, b, 3000)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotM, wantM := results[i].Invited.Members(), res.Invited.Members()
+			gotM, wantM := results[i].Invited, res.Invited
 			if fmt.Sprint(gotM) != fmt.Sprint(wantM) {
 				t.Fatalf("pair %v budget %d: sweep invited %v != single %v", pk, b, gotM, wantM)
 			}
-			if results[i].CoveredFraction != res.CoveredFraction {
-				t.Errorf("pair %v budget %d: TrainF %v != %v", pk, b, results[i].CoveredFraction, res.CoveredFraction)
+			if results[i].TrainF != res.TrainF {
+				t.Errorf("pair %v budget %d: TrainF %v != %v", pk, b, results[i].TrainF, res.TrainF)
 			}
-			if fs[i] != f {
-				t.Errorf("pair %v budget %d: EstimatedF %v != %v", pk, b, fs[i], f)
+			if results[i].EstimatedF != res.EstimatedF {
+				t.Errorf("pair %v budget %d: EstimatedF %v != %v", pk, b, results[i].EstimatedF, res.EstimatedF)
 			}
 		}
 	}

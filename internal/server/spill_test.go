@@ -125,6 +125,10 @@ func TestSpillCorruptionFallsBackToResample(t *testing.T) {
 	if st.SpillLoads != int64(len(files))-st.SpillLoadErrors {
 		t.Fatalf("SpillLoads = %d with %d files and %d errors", st.SpillLoads, len(files), st.SpillLoadErrors)
 	}
+	if causes := st.SpillLoadErrChecksum + st.SpillLoadErrVersion + st.SpillLoadErrStream +
+		st.SpillLoadErrInstance + st.SpillLoadErrOther; causes != st.SpillLoadErrors {
+		t.Fatalf("SpillLoadErrors = %d, but its causes sum to %d: %+v", st.SpillLoadErrors, causes, st)
+	}
 }
 
 // TestSpillAllWriteError: when snapshots cannot be written (here the
@@ -296,7 +300,7 @@ func TestPmaxEstimatorSpillCarry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tight.Estimate != wantTight.Estimate || tight.Draws != wantTight.Draws || tight.Truncated != wantTight.Truncated {
+	if tight.Value != wantTight.Value || tight.Draws != wantTight.Draws || tight.Truncated != wantTight.Truncated {
 		t.Errorf("post-restart estimate %+v, want %+v", tight, wantTight)
 	}
 	if tight.Sampled != 0 {

@@ -1,12 +1,9 @@
 package server
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"time"
-
-	"repro/internal/graph"
 )
 
 // sweepExpiredSpillsLocked removes spill files whose mtime is older than
@@ -34,12 +31,9 @@ func (sv *Server) sweepExpiredSpillsLocked() int {
 	cutoff := time.Now().Add(-ttl)
 	n := 0
 	for _, de := range des {
-		var s, t graph.Node
-		// Same exact-name discipline as Warm: only files that re-render
-		// to their own name are spill blobs; tmp debris and foreign files
-		// are not ours to expire.
-		if c, err := fmt.Sscanf(de.Name(), spillPattern, &s, &t); err != nil || c != 2 ||
-			de.Name() != fmt.Sprintf(spillPattern, s, t) {
+		// Only spill blobs are ours to expire: tmp debris and foreign
+		// files are left alone.
+		if _, ok := parseSpillName(de.Name()); !ok {
 			continue
 		}
 		info, err := de.Info()
@@ -51,7 +45,7 @@ func (sv *Server) sweepExpiredSpillsLocked() int {
 		}
 	}
 	if n > 0 {
-		sv.spillExpired.Add(int64(n))
+		sv.ledger[ctrSpillFilesExpired].Add(int64(n))
 	}
 	return n
 }

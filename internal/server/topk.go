@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -34,53 +35,46 @@ type TopKQuery struct {
 	MaxDraws int64
 }
 
-// TopKCandidate is one target's standing after a TopK run.
-type TopKCandidate struct {
-	Target graph.Node
-	// Score is the decorrelated estimate of f(Invited) at Effort
-	// draws — the quantity candidates are ranked on.
-	Score float64
-	// TrainF is the biased in-pool covered fraction of the last solve.
-	TrainF float64
-	// Invited is the last chosen invitation set (nil if the candidate
-	// never scored successfully).
-	Invited *graph.NodeSet
-	// Effort is the pool size the candidate was last scored at — the
-	// per-candidate confidence knob; Rounds counts its scheduling
-	// rounds. Frozen candidates stopped before the final round.
-	Effort int64
-	Rounds int
-	Frozen bool
-	// Err is the scoring failure that froze the candidate, if any
-	// (e.g. an unreachable or adjacent target) — rendered to a string
-	// so results serialize.
-	Err string
+// topkRun is a finished ranking before shaping: per-candidate last
+// solves (index-aligned with the query's targets), the schedule's
+// outcome and the measured draw bill. Coalesced callers share one run
+// and each shapes its own TopKResult from it.
+type topkRun struct {
+	q      TopKQuery
+	trainF []float64
+	sets   []*graph.NodeSet
+	rr     *rank.Result
+	spent  int64
 }
 
-// TopKResult is a finished batched ranking. It retains its Query so a
-// later TopKRefine call can resume the schedule.
-type TopKResult struct {
-	Query      TopKQuery
-	Candidates []TopKCandidate // by Targets index
-	// Ranked lists Targets indices best-first: the final survivors by
-	// score, then frozen candidates by how long they survived.
-	Ranked []int
-	Rounds int
-	// PlannedDraws is the schedule's a-priori bill; DrawsSpent is the
-	// measured pool growth the run actually caused (eviction-induced
-	// resampling included, reuse of already-grown pools excluded);
-	// ExhaustiveDraws is what len(Targets) independent full-effort
-	// SolveMax calls would plan. Truncated reports that MaxDraws
-	// forced even the winners below full effort.
-	PlannedDraws    int64
-	DrawsSpent      int64
-	ExhaustiveDraws int64
-	Truncated       bool
-}
-
-// Winners returns the top-min(K, ranked) candidate indices, best first.
-func (r *TopKResult) Winners() []int {
-	return r.Ranked[:min(r.Query.K, len(r.Ranked))]
+func (r *topkRun) result() *TopKResult {
+	res := &TopKResult{
+		Source:          r.q.S,
+		K:               r.q.K,
+		Candidates:      make([]TopKCandidate, len(r.rr.Candidates)),
+		Ranked:          slices.Clone(r.rr.Ranked),
+		Rounds:          r.rr.Rounds,
+		DrawsSpent:      r.spent,
+		PlannedDraws:    r.rr.Plan.Cost,
+		ExhaustiveDraws: r.rr.Plan.ExhaustiveCost,
+		Truncated:       r.rr.Plan.Truncated,
+		query:           r.q,
+	}
+	for i, rc := range r.rr.Candidates {
+		c := &res.Candidates[i]
+		*c = TopKCandidate{Target: r.q.Targets[i], Score: rc.Score, TrainF: r.trainF[i],
+			Effort: rc.Effort, Rounds: rc.Rounds, Frozen: rc.Frozen}
+		if r.sets[i] != nil {
+			c.Invited = r.sets[i].Members()
+		}
+		if rc.Err != nil {
+			c.Err = rc.Err.Error()
+		}
+	}
+	for _, wi := range res.Ranked[:min(r.q.K, len(res.Ranked))] {
+		res.Winners = append(res.Winners, res.Candidates[wi])
+	}
+	return res
 }
 
 // TopK serves one batched top-k request end to end as a single scheduled
@@ -111,10 +105,10 @@ func (sv *Server) TopK(ctx context.Context, q TopKQuery) (*TopKResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.(*TopKResult), nil
+	return v.(*topkRun).result(), nil
 }
 
-func (sv *Server) topK(ctx context.Context, q TopKQuery) (_ *TopKResult, err error) {
+func (sv *Server) topK(ctx context.Context, q TopKQuery) (_ *topkRun, err error) {
 	ctx, obsEnd := sv.obsBegin(ctx, KindTopK)
 	defer func() { obsEnd(err) }()
 	n := len(q.Targets)
@@ -127,14 +121,7 @@ func (sv *Server) topK(ctx context.Context, q TopKQuery) (_ *TopKResult, err err
 	if q.Budget <= 0 {
 		return nil, fmt.Errorf("server: topk budget %d must be positive", q.Budget)
 	}
-	l := q.Realizations
-	if l <= 0 {
-		l = maxaf.DefaultRealizations
-	}
-	res := &TopKResult{Query: q, Candidates: make([]TopKCandidate, n)}
-	for i, t := range q.Targets {
-		res.Candidates[i].Target = t
-	}
+	run := &topkRun{q: q, trainF: make([]float64, n), sets: make([]*graph.NodeSet, n)}
 	var spent atomic.Int64
 	var solvers sync.Pool // *setcover.Solver scratch shared across the batch
 	score := func(ctx context.Context, i int, effort int64) (float64, error) {
@@ -143,10 +130,10 @@ func (sv *Server) topK(ctx context.Context, q TopKQuery) (_ *TopKResult, err err
 			return 0, err
 		}
 		defer sv.release(e)
-		eng := e.sess.Engine()
+		eng := e.Core.Engine()
 		before := eng.PoolDraws()
 		defer func() { spent.Add(eng.PoolDraws() - before) }()
-		pool, err := e.sess.Pool(ctx, effort)
+		pool, err := e.Core.Pool(ctx, effort)
 		if err != nil {
 			return 0, err
 		}
@@ -154,51 +141,34 @@ func (sv *Server) topK(ctx context.Context, q TopKQuery) (_ *TopKResult, err err
 		if s, ok := solvers.Get().(*setcover.Solver); ok {
 			solver = s
 		}
-		mres, solver, err := maxaf.SolveFromPoolSolver(ctx, e.sess.Instance(), q.Budget, pool, solver)
+		mres, solver, err := maxaf.SolveFromPoolSolver(ctx, e.Core.Instance(), q.Budget, pool, solver)
 		if solver != nil {
 			solvers.Put(solver)
 		}
 		if err != nil {
 			return 0, err
 		}
-		f, err := e.eval.EstimateF(ctx, mres.Invited, effort)
+		f, err := e.Eval.EstimateF(ctx, mres.Invited, effort)
 		if err != nil {
 			return 0, err
 		}
 		// Index-disjoint writes: the scheduler scores each candidate at
 		// most once per round, so no two goroutines touch slot i.
-		c := &res.Candidates[i]
-		c.TrainF = mres.CoveredFraction
-		c.Invited = mres.Invited
+		run.trainF[i], run.sets[i] = mres.CoveredFraction, mres.Invited
 		return f, nil
 	}
-	rr, err := rank.Run(ctx, rank.Config{
+	run.rr, err = rank.Run(ctx, rank.Config{
 		Candidates: n,
 		K:          q.K,
-		FullEffort: l,
+		FullEffort: maxaf.Realizations(q.Realizations),
 		MaxDraws:   q.MaxDraws,
 		Workers:    sv.cfg.Workers,
 	}, score)
 	if err != nil {
 		return nil, err
 	}
-	for i, rc := range rr.Candidates {
-		c := &res.Candidates[i]
-		c.Score = rc.Score
-		c.Effort = rc.Effort
-		c.Rounds = rc.Rounds
-		c.Frozen = rc.Frozen
-		if rc.Err != nil {
-			c.Err = rc.Err.Error()
-		}
-	}
-	res.Ranked = rr.Ranked
-	res.Rounds = rr.Rounds
-	res.PlannedDraws = rr.Plan.Cost
-	res.ExhaustiveDraws = rr.Plan.ExhaustiveCost
-	res.Truncated = rr.Plan.Truncated
-	res.DrawsSpent = spent.Load()
-	return res, nil
+	run.spent = spent.Load()
+	return run, nil
 }
 
 // TopKRefine resumes a finished scheduled run with extraDraws more
@@ -211,13 +181,13 @@ func (sv *Server) topK(ctx context.Context, q TopKQuery) (_ *TopKResult, err err
 // Refining an exhaustive (MaxDraws = 0) result is a no-op re-scoring
 // from warm pools.
 func (sv *Server) TopKRefine(ctx context.Context, prev *TopKResult, extraDraws int64) (*TopKResult, error) {
-	if prev == nil {
-		return nil, fmt.Errorf("server: topk refine without a prior result")
+	if prev == nil || prev.query.Targets == nil {
+		return nil, fmt.Errorf("server: topk refine needs a result returned by TopK")
 	}
 	if extraDraws <= 0 {
 		return nil, fmt.Errorf("server: topk refine extraDraws=%d must be positive", extraDraws)
 	}
-	q := prev.Query
+	q := prev.query
 	if q.MaxDraws != 0 {
 		q.MaxDraws += extraDraws
 		if q.MaxDraws >= prev.ExhaustiveDraws {

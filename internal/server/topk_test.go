@@ -34,16 +34,31 @@ func validTargetsFor(g *graph.Graph, s graph.Node, want int) []graph.Node {
 func renderTopK(res *TopKResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ranked=%v winners=%v rounds=%d planned=%d exhaustive=%d trunc=%v\n",
-		res.Ranked, res.Winners(), res.Rounds, res.PlannedDraws, res.ExhaustiveDraws, res.Truncated)
+		res.Ranked, winners(res), res.Rounds, res.PlannedDraws, res.ExhaustiveDraws, res.Truncated)
 	for i, c := range res.Candidates {
 		fmt.Fprintf(&b, "cand %d t=%d score=%x train=%x effort=%d rounds=%d frozen=%v err=%q inv=",
 			i, c.Target, math.Float64bits(c.Score), math.Float64bits(c.TrainF), c.Effort, c.Rounds, c.Frozen, c.Err)
 		if c.Invited != nil {
-			fmt.Fprintf(&b, "%v", c.Invited.Members())
+			fmt.Fprintf(&b, "%v", c.Invited)
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// winners returns the winners' candidate indices, checking that the
+// Winners field holds exactly those candidates.
+func winners(res *TopKResult) []int {
+	idx := res.Ranked[:min(res.K, len(res.Ranked))]
+	if len(res.Winners) != len(idx) {
+		panic(fmt.Sprintf("%d winners for ranked prefix %v", len(res.Winners), idx))
+	}
+	for j, wi := range idx {
+		if fmt.Sprint(res.Winners[j]) != fmt.Sprint(res.Candidates[wi]) {
+			panic(fmt.Sprintf("winner %d is %+v, want candidate %d %+v", j, res.Winners[j], wi, res.Candidates[wi]))
+		}
+	}
+	return idx
 }
 
 const topkEffort = 4096
@@ -71,7 +86,7 @@ func TestTopKFullBudgetMatchesExhaustive(t *testing.T) {
 	}
 	ref, _ := topkServer(1, 0)
 	for i, tgt := range targets {
-		mres, f, err := ref.SolveMax(ctx, s, tgt, 3, topkEffort)
+		mres, err := ref.SolveMax(ctx, s, tgt, 3, topkEffort)
 		c := res.Candidates[i]
 		if err != nil {
 			if c.Err == "" {
@@ -82,11 +97,11 @@ func TestTopKFullBudgetMatchesExhaustive(t *testing.T) {
 		if c.Err != "" || c.Frozen || c.Effort != topkEffort {
 			t.Fatalf("candidate %d not at full effort: %+v", i, c)
 		}
-		if c.Score != f || c.TrainF != mres.CoveredFraction ||
-			fmt.Sprint(c.Invited.Members()) != fmt.Sprint(mres.Invited.Members()) {
+		if c.Score != mres.EstimatedF || c.TrainF != mres.TrainF ||
+			fmt.Sprint(c.Invited) != fmt.Sprint(mres.Invited) {
 			t.Fatalf("candidate %d diverged from SolveMax:\ntopk  %x %x %v\nsolve %x %x %v",
-				i, math.Float64bits(c.Score), math.Float64bits(c.TrainF), c.Invited.Members(),
-				math.Float64bits(f), math.Float64bits(mres.CoveredFraction), mres.Invited.Members())
+				i, math.Float64bits(c.Score), math.Float64bits(c.TrainF), c.Invited,
+				math.Float64bits(mres.EstimatedF), math.Float64bits(mres.TrainF), mres.Invited)
 		}
 	}
 	// The ranking must be the exhaustive scores in (score desc, index
@@ -190,10 +205,10 @@ func TestTopKScheduledSublinearDraws(t *testing.T) {
 	if sched.DrawsSpent*3 > full.DrawsSpent {
 		t.Fatalf("scheduled batch not ≥3x cheaper: %d vs %d draws", sched.DrawsSpent, full.DrawsSpent)
 	}
-	if len(sched.Winners()) != 2 {
-		t.Fatalf("winners: %v", sched.Winners())
+	if len(winners(sched)) != 2 {
+		t.Fatalf("winners: %v", winners(sched))
 	}
-	for _, wi := range sched.Winners() {
+	for _, wi := range winners(sched) {
 		if c := sched.Candidates[wi]; c.Err != "" || c.Effort == 0 {
 			t.Fatalf("winner %d unscored: %+v", wi, c)
 		}
@@ -249,9 +264,9 @@ func TestTopKErrorCandidates(t *testing.T) {
 			t.Fatalf("invalid target %d not frozen with error: %+v", i, c)
 		}
 	}
-	for _, wi := range res.Winners() {
+	for _, wi := range winners(res) {
 		if wi < 2 {
-			t.Fatalf("invalid target ranked as winner: %v", res.Winners())
+			t.Fatalf("invalid target ranked as winner: %v", winners(res))
 		}
 	}
 }
@@ -302,7 +317,7 @@ func TestCoalesceJoinsFlight(t *testing.T) {
 		done <- v.(int)
 	}()
 	// Wait for the joiner to be counted, then let the flight finish.
-	for sv.coalesced.Load() == 0 {
+	for sv.ledger[ctrCoalesced].Load() == 0 {
 		runtime.Gosched()
 	}
 	close(release)
@@ -336,12 +351,12 @@ func TestCoalesceConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, f, err := sv.SolveMax(ctx, s, tgt, 3, 4096)
+			res, err := sv.SolveMax(ctx, s, tgt, 3, 4096)
 			if err != nil {
 				answers[i] = err.Error()
 				return
 			}
-			answers[i] = fmt.Sprintf("%v|%x", res.Invited.Members(), math.Float64bits(f))
+			answers[i] = fmt.Sprintf("%v|%x", res.Invited, math.Float64bits(res.EstimatedF))
 		}(i)
 	}
 	wg.Wait()

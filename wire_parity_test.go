@@ -1,8 +1,8 @@
 package activefriending
 
 import (
+	"context"
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,66 +10,75 @@ import (
 	"repro/internal/proto"
 )
 
-// jsonShape renders the JSON-visible structure of a type — exported
-// field names, tags and kinds, in declaration order, recursively — so
-// two mirror structs can be compared for wire compatibility without
-// being the same Go type.
-func jsonShape(t reflect.Type) string {
-	switch t.Kind() {
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		return "[" + jsonShape(t.Elem()) + "]"
-	case reflect.Map:
-		return "map[" + jsonShape(t.Key()) + "]" + jsonShape(t.Elem())
-	case reflect.Struct:
-		var b strings.Builder
-		b.WriteString("{")
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue
-			}
-			fmt.Fprintf(&b, "%s tag=%q %s;", f.Name, f.Tag.Get("json"), jsonShape(f.Type))
-		}
-		b.WriteString("}")
-		return b.String()
-	default:
-		return t.Kind().String()
-	}
-}
-
-// TestWireMirrorsFacade pins internal/proto's wire structs to the
-// facade result types they mirror (wire.go documents this test by
-// name): same exported fields, same declaration order, same kinds and
-// tags — so the JSON the HTTP and pipe transports emit is exactly the
-// JSON a facade user would marshal, and a field added to one side
-// without the other fails here instead of on a client.
+// TestWireMirrorsFacade pins the wire format to the facade result
+// types (wire.go documents this test by name): every op whose answer
+// is a result struct must hand the dispatcher a value of the facade's
+// own type, and its JSON must survive a round trip through that type
+// byte for byte — so the JSON the HTTP and pipe transports emit is
+// exactly the JSON a facade user would marshal, and a wire-only mirror
+// struct reintroduced on either side fails here instead of on a client.
 func TestWireMirrorsFacade(t *testing.T) {
-	pairs := []struct {
-		name           string
-		facade, mirror any
-	}{
-		{"Solution", Solution{}, proto.Solution{}},
-		{"MaxSolution", MaxSolution{}, proto.MaxSolution{}},
-		{"TopKCandidate", TopKCandidate{}, proto.TopKCandidate{}},
-		{"TopKResult", TopKResult{}, proto.TopKResult{}},
-		{"DeltaSummary", DeltaSummary{}, proto.DeltaSummary{}},
-		{"ServerKindStats", ServerKindStats{}, proto.KindStats{}},
-		{"ServerStats", ServerStats{}, proto.Stats{}},
+	g, err := LoadEdgeList(strings.NewReader(goldenGraph))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range pairs {
-		want := jsonShape(reflect.TypeOf(p.facade))
-		got := jsonShape(reflect.TypeOf(p.mirror))
-		if got != want {
-			t.Errorf("%s: proto mirror diverged from facade\nfacade %s\nmirror %s", p.name, want, got)
+	sv := NewServer(g, ServerConfig{Seed: 7, Workers: 1})
+	d := proto.NewDispatcher(sv.sv)
+	ctx := context.Background()
+
+	// roundTrip checks that res is a *T (or a T for value types) and
+	// that its JSON decodes into a fresh T and re-encodes identically.
+	roundTrip := func(name string, res, fresh any) {
+		t.Helper()
+		if got, want := reflect.TypeOf(res), reflect.TypeOf(fresh); got != want {
+			t.Errorf("%s: wire result is %v, facade type is %v", name, got, want)
+			return
 		}
-		// Belt and suspenders: the zero values marshal to identical bytes.
-		fb, err1 := json.Marshal(p.facade)
-		mb, err2 := json.Marshal(p.mirror)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: marshal: %v / %v", p.name, err1, err2)
+		wire, err := json.Marshal(res)
+		if err != nil {
+			t.Fatalf("%s: marshal: %v", name, err)
 		}
-		if string(fb) != string(mb) {
-			t.Errorf("%s: zero-value JSON diverged\nfacade %s\nmirror %s", p.name, fb, mb)
+		dst := reflect.New(reflect.TypeOf(fresh))
+		if err := json.Unmarshal(wire, dst.Interface()); err != nil {
+			t.Fatalf("%s: facade type cannot decode the wire bytes: %v", name, err)
 		}
+		back, err := json.Marshal(dst.Elem().Interface())
+		if err != nil {
+			t.Fatalf("%s: re-marshal: %v", name, err)
+		}
+		if string(back) != string(wire) {
+			t.Errorf("%s: JSON diverged through the facade type\nwire   %s\nfacade %s", name, wire, back)
+		}
+	}
+
+	cases := []struct {
+		name  string
+		query string
+		fresh any
+	}{
+		{"Solution", `{"op":"solve","s":0,"t":5,"alpha":0.3,"eps":0.1,"n":50,"realizations":4000}`, &Solution{}},
+		{"MaxSolution", `{"op":"solvemax","s":0,"t":5,"budget":2,"realizations":4000}`, &MaxSolution{}},
+		{"MaxSolution budgets", `{"op":"solvemax","s":0,"t":5,"budgets":[1,2,3],"realizations":4000}`, []*MaxSolution{}},
+		{"TopKResult", `{"op":"topk","s":0,"targets":[3,4,5,6,7],"k":2,"budget":2,"realizations":2048,"maxdraws":6000}`, &TopKResult{}},
+		{"TopKResult refine", `{"op":"topkrefine","s":0,"targets":[3,4,5,6,7],"k":2,"budget":2,"realizations":2048,"extradraws":4000}`, &TopKResult{}},
+		{"DeltaSummary", `{"op":"delta","add":[[6,7],[5,7]]}`, &DeltaSummary{}},
+		{"ServerStats", `{"op":"stats"}`, ServerStats{}},
+	}
+	for _, c := range cases {
+		resp := d.DispatchLine(ctx, []byte(c.query))
+		if !resp.OK {
+			t.Fatalf("%s: %s", c.name, resp.Error)
+		}
+		roundTrip(c.name, resp.Result, c.fresh)
+	}
+	// The nested element types are the facade's too.
+	roundTrip("TopKCandidate", TopKCandidate{Target: 3, Score: 0.5}, TopKCandidate{})
+	roundTrip("ServerKindStats", sv.Stats().Solve, ServerKindStats{})
+
+	// A metrics-armed server's stats reply embeds the facade ledger
+	// type, so its keys stay the flat ServerStats keys.
+	f, ok := reflect.TypeOf(proto.StatsWithMetrics{}).FieldByName("ServerStats")
+	if !ok || !f.Anonymous || f.Type != reflect.TypeOf(ServerStats{}) {
+		t.Errorf("proto.StatsWithMetrics must embed the facade ServerStats, got %+v", f)
 	}
 }
