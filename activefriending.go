@@ -431,10 +431,6 @@ type ServerConfig struct {
 	// query with byte-identical pools, so eviction never changes an
 	// answer. 0 disables eviction.
 	MaxPoolBytes int64
-	// Shards is the number of locks the pair map is sharded across
-	// (default 16); queries for pairs on distinct shards never contend on
-	// session lookup.
-	Shards int
 	// Seed roots every pair's randomness: all results are pure functions
 	// of (Seed, s, t). Workers bounds sampling parallelism per query
 	// (0 = all CPUs) without affecting any result.
@@ -551,7 +547,6 @@ func NewServer(g *Graph, cfg ServerConfig) *Server {
 	}
 	return &Server{sv: server.New(g, weights.NewDegree(g), server.Config{
 		MaxPoolBytes: cfg.MaxPoolBytes,
-		Shards:       cfg.Shards,
 		Seed:         cfg.Seed,
 		Workers:      cfg.Workers,
 		SpillDir:     cfg.SpillDir,

@@ -431,7 +431,7 @@ func TestServerFacade(t *testing.T) {
 
 	free := NewServer(g, ServerConfig{Seed: 9})
 	want := collect(free)
-	budgeted := NewServer(g, ServerConfig{Seed: 9, MaxPoolBytes: 24 << 10, Shards: 2, Workers: 2})
+	budgeted := NewServer(g, ServerConfig{Seed: 9, MaxPoolBytes: 24 << 10, Workers: 2})
 	got := collect(budgeted)
 	for i := range want {
 		if !reflect.DeepEqual(want[i], got[i]) {

@@ -22,7 +22,7 @@
 //	{"id":5,"op":"pmax","s":3,"t":91,"trials":20000}
 //	{"id":6,"op":"pmaxest","s":3,"t":91,"eps":0.1,"n":100000,"trials":2000000}
 //	{"id":7,"op":"topk","s":3,"targets":[91,17,64,108],"k":2,"budget":5,"maxdraws":500000}
-//	{"id":8,"op":"topkrefine","s":3,"targets":[91,17,64,108],"k":2,"budget":5,"extradraws":500000}
+//	{"id":8,"op":"topkrefine","s":3,"targets":[91,17,64,108],"k":2,"budget":5,"maxdraws":500000,"extradraws":500000}
 //	{"id":9,"op":"stats"}
 //
 // A solvemax with a "budgets" list answers the whole sweep in one
@@ -32,9 +32,12 @@
 // scheduled batch (successive halving under the "maxdraws" draw budget;
 // omit it to score every candidate at full effort, byte-identical to
 // independent solvemax calls) and reports the k winners with their
-// per-candidate score, effort and invitation set; a topkrefine with the
-// same (s, targets, k, budget, realizations) signature resumes the
-// retained run with "extradraws" more budget, paying only the top-up.
+// per-candidate score, effort and invitation set. A topkrefine carries
+// its run's full topk query, "maxdraws" included, plus "extradraws": it
+// answers exactly what a topk at maxdraws+extradraws would (a query
+// without "maxdraws" stays exhaustive), and pays only the top-up draws
+// when the run's pools are still warm. The server keeps no per-client
+// state: the reply depends on the request alone.
 //
 // -metrics-addr (or its alias -pprof) serves the observability surface
 // on a dedicated mux: Prometheus text at /metrics (per-kind request
@@ -148,7 +151,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	scale := fs.Float64("scale", 0.05, "dataset scale")
 	seed := fs.Int64("seed", 1, "root seed; every answer is a pure function of (seed, s, t)")
 	workers := fs.Int("workers", 0, "sampling workers per query (0 = CPUs)")
-	shards := fs.Int("shards", 0, "pair-map lock shards (0 = default)")
 	maxBytes := fs.Int64("maxbytes", 0, "pool memory budget in bytes (0 = unlimited)")
 	spillDir := fs.String("spill-dir", "", "spill evicted pools to snapshots in this directory and flush all pools on shutdown")
 	spillTTL := fs.Duration("spill-ttl", 0, "expire spill files not rewritten within this TTL (0 = keep forever)")
@@ -207,7 +209,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	}
 	sv := server.New(g, weights.NewDegree(g), server.Config{
 		MaxPoolBytes: *maxBytes,
-		Shards:       *shards,
 		Seed:         *seed,
 		Workers:      *workers,
 		SpillDir:     *spillDir,

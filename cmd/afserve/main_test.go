@@ -114,7 +114,7 @@ func TestServeQueries(t *testing.T) {
 	for _, extra := range [][]string{
 		{"-maxbytes", "16384"},
 		{"-j", "4"},
-		{"-maxbytes", "16384", "-j", "4", "-shards", "2", "-workers", "2"},
+		{"-maxbytes", "16384", "-j", "4", "-workers", "2"},
 	} {
 		again := runServe(t, append([]string{"-file", path, "-seed", "7"}, extra...), queries)
 		if len(again) != len(got) {

@@ -18,7 +18,7 @@ import (
 // transportQueries exercises every op plus every error shape the
 // protocol can produce: a malformed line (first, so the pipe's inline
 // decode reply cannot race an in-flight op's reply), a topkrefine with
-// no retained signature, an adjacent pair, an unknown op, and a final
+// a zero top-up, an adjacent pair, an unknown op, and a final
 // stats op whose ledger must agree across transports because both saw
 // the identical query sequence under the identical admission config.
 const transportQueries = `not json
@@ -29,8 +29,8 @@ const transportQueries = `not json
 {"id":5,"op":"pmax","s":0,"t":5,"trials":4000}
 {"id":6,"op":"pmaxest","s":0,"t":4,"eps":0.2,"n":50,"trials":100000}
 {"id":7,"op":"topk","s":0,"targets":[3,4,5,6,7],"k":2,"budget":2,"realizations":2048,"maxdraws":10240}
-{"id":8,"op":"topkrefine","s":0,"targets":[3,4,5,6,7],"k":2,"budget":2,"realizations":2048,"extradraws":4096}
-{"id":9,"op":"topkrefine","s":1,"targets":[5],"k":1,"budget":2}
+{"id":8,"op":"topkrefine","s":0,"targets":[3,4,5,6,7],"k":2,"budget":2,"realizations":2048,"maxdraws":10240,"extradraws":4096}
+{"id":9,"op":"topkrefine","s":1,"targets":[5],"k":1,"budget":2,"extradraws":0}
 {"id":10,"op":"delta","add":[[6,7],[5,7]]}
 {"id":11,"op":"solve","s":0,"t":5}
 {"id":12,"op":"solve","s":0,"t":1}
@@ -108,7 +108,7 @@ func TestTransportEquivalence(t *testing.T) {
 	// config. The body must match the pipe reply byte-for-byte and the
 	// status must reflect the typed code: 400 for decode failures and
 	// unknown ops, 200 for everything that dispatched — including domain
-	// errors like the adjacent pair and the unseen topkrefine signature,
+	// errors like the adjacent pair and the zero-top-up topkrefine,
 	// which are answers, not transport failures.
 	ts := newQueryServer(t)
 	lines := strings.Split(strings.TrimSuffix(transportQueries, "\n"), "\n")

@@ -346,7 +346,7 @@ func TestBasicExperimentThroughServer(t *testing.T) {
 	run := func(maxBytes int64) ([]Fig3Row, *server.Server) {
 		cfg := testConfig(t, g, pairs)
 		cfg.Server = server.New(g, cfg.Weights, server.Config{
-			Seed: cfg.Seed, Workers: cfg.Workers, MaxPoolBytes: maxBytes, Shards: 4,
+			Seed: cfg.Seed, Workers: cfg.Workers, MaxPoolBytes: maxBytes,
 		})
 		rows, err := BasicExperiment(context.Background(), cfg, alphas)
 		if err != nil {

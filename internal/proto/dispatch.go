@@ -4,17 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/server"
 )
 
 // Dispatcher maps decoded requests onto one server.Server and shapes
-// replies. It is transport-agnostic and safe for concurrent use: the
-// pipe transport (cmd/afserve) and the HTTP transport
+// replies. It is transport-agnostic, stateless and safe for concurrent
+// use: the pipe transport (cmd/afserve) and the HTTP transport
 // (internal/proto/httpapi) drive the same Dispatcher, so a request
-// produces the same reply bytes on either.
+// produces the same reply bytes on either, and a reply depends only on
+// its request (and the served graph's epoch), never on other traffic.
 //
 // Parameter defaults (solve's α/ε/N and caps, topk's budget, pmaxest's
 // stopping-rule knobs) and invited-set validation live in the server,
@@ -23,24 +23,11 @@ import (
 // for "acceptance" and "pmax" — is resolved here.
 type Dispatcher struct {
 	sv *server.Server
-
-	// topks retains finished topk results so "topkrefine" can resume
-	// them, keyed by the query signature (s, targets, k, budget,
-	// realizations) — deliberately excluding maxdraws, which refinement
-	// itself enlarges. Bounded FIFO: the protocol is stateless on the
-	// wire, so a evicted entry just means a refine request re-runs as a
-	// fresh topk would.
-	mu        sync.Mutex
-	topks     map[string]*server.TopKResult
-	topkOrder []string
 }
-
-// maxRetainedTopKs bounds the refine cache; see Dispatcher.topks.
-const maxRetainedTopKs = 64
 
 // NewDispatcher returns a dispatcher answering against sv.
 func NewDispatcher(sv *server.Server) *Dispatcher {
-	return &Dispatcher{sv: sv, topks: make(map[string]*server.TopKResult)}
+	return &Dispatcher{sv: sv}
 }
 
 // defaultTrials is the draw count for "acceptance" and "pmax" when the
@@ -54,31 +41,6 @@ func topkQuery(req Request) server.TopKQuery {
 		Realizations: req.Realizations,
 		MaxDraws:     req.MaxDraws,
 	})
-}
-
-// topkKey is the refine-cache signature of a topk query; MaxDraws is
-// excluded so a refined result stays reachable under its original key.
-func topkKey(q server.TopKQuery) string {
-	return fmt.Sprintf("%d|%v|%d|%d|%d", q.S, q.Targets, q.K, q.Budget, q.Realizations)
-}
-
-func (d *Dispatcher) retainTopK(key string, res *server.TopKResult) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.topks[key]; !ok {
-		if len(d.topkOrder) >= maxRetainedTopKs {
-			delete(d.topks, d.topkOrder[0])
-			d.topkOrder = d.topkOrder[1:]
-		}
-		d.topkOrder = append(d.topkOrder, key)
-	}
-	d.topks[key] = res
-}
-
-func (d *Dispatcher) retainedTopK(key string) *server.TopKResult {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.topks[key]
 }
 
 // DispatchLine decodes and answers one request line.
@@ -129,25 +91,13 @@ func (d *Dispatcher) Dispatch(ctx context.Context, req Request) Response {
 			"sampled": est.Sampled, "truncated": est.Truncated,
 		}
 	case "topk":
-		q := topkQuery(req)
-		var res *server.TopKResult
-		res, err = d.sv.TopK(ctx, q)
-		if err == nil {
-			d.retainTopK(topkKey(q), res)
-			result = res
-		}
+		result, err = d.sv.TopK(ctx, topkQuery(req))
 	case "topkrefine":
-		q := topkQuery(req)
-		prev := d.retainedTopK(topkKey(q))
-		if prev == nil {
-			err = fmt.Errorf("topkrefine: no retained topk result for this query signature (run topk first)")
-			break
-		}
-		var res *server.TopKResult
-		res, err = d.sv.TopKRefine(ctx, prev, req.ExtraDraws)
-		if err == nil {
-			d.retainTopK(topkKey(q), res)
-			result = res
+		// Stateless: the request carries the run's whole query, so the
+		// refined reply is the topk at maxdraws+extradraws by construction.
+		var q server.TopKQuery
+		if q, err = topkQuery(req).Refine(req.ExtraDraws); err == nil {
+			result, err = d.sv.TopK(ctx, q)
 		}
 	case "delta":
 		// Mutate the served graph in place: cached pairs are migrated

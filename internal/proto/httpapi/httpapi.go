@@ -132,7 +132,10 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Batch: every line gets a reply line, in request order (the pipe
 	// may reorder under -j; HTTP batches keep order so a client can zip
 	// request and reply streams even without ids). Flush per reply so a
-	// streaming client sees answers as they land.
+	// streaming client sees answers as they land. Full duplex keeps the
+	// body readable past the first reply (HTTP/1.x otherwise stops body
+	// reads there); HTTP/2 always is, and reports ErrNotSupported.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -132,4 +133,59 @@ func TestHandlerDrain(t *testing.T) {
 
 	// Drain is idempotent.
 	h.Drain()
+}
+
+// TestHandlerBatchReadsPastFirstReply: an NDJSON batch whose body is
+// still arriving after the first reply was written must be answered in
+// full. net/http stops HTTP/1.x body reads once the response has begun
+// unless the handler enables full duplex, which silently truncated any
+// batch larger than the body's first read.
+func TestHandlerBatchReadsPastFirstReply(t *testing.T) {
+	ts := httptest.NewServer(testHandler(t))
+	defer ts.Close()
+	pr, pw := io.Pipe()
+	go func() {
+		// Two lines commit the handler to the batch shape; the third is
+		// held back until the first reply has been read.
+		io.WriteString(pw, `{"id":1,"op":"pmax","s":0,"t":5,"trials":100}`+"\n"+`{"id":2,"op":"pmax","s":0,"t":5,"trials":200}`+"\n")
+	}()
+	// Without full duplex the server blocks draining the body before its
+	// first reply while this client waits for that reply: bound the hang,
+	// ending the body too so the client's body writer can return.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	context.AfterFunc(ctx, func() { pw.CloseWithError(ctx.Err()) })
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	var ids []int64
+	for {
+		var r struct {
+			ID int64 `json:"id"`
+			OK bool  `json:"ok"`
+		}
+		if err := dec.Decode(&r); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if !r.OK {
+			t.Errorf("reply %d not ok", r.ID)
+		}
+		ids = append(ids, r.ID)
+		if len(ids) == 1 {
+			io.WriteString(pw, `{"id":3,"op":"pmax","s":0,"t":5,"trials":300}`+"\n")
+			pw.Close()
+		}
+	}
+	if len(ids) != 3 {
+		t.Errorf("batch of 3 answered ids %v", ids)
+	}
 }

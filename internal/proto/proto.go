@@ -25,11 +25,12 @@ import (
 )
 
 // Version is the protocol version this package speaks. Requests may
-// carry an explicit "v"; absent (0) means version 1. A request from the
-// future — v greater than Version — is rejected as a bad request, so a
-// client can probe what a server speaks instead of getting a silently
-// misinterpreted answer.
-const Version = 1
+// carry an explicit "v"; absent (0) means the current version. A request
+// from the future — v greater than Version — is rejected as a bad
+// request, so a client can probe what a server speaks instead of getting
+// a silently misinterpreted answer. Version 2 made "topkrefine"
+// stateless: it carries its run's whole topk query, "maxdraws" included.
+const Version = 2
 
 // MaxRequestBytes bounds one encoded request line on every transport
 // (the pipe's old scanner buffer, kept as the protocol-level limit).
@@ -57,9 +58,10 @@ type Request struct {
 	Realizations int64        `json:"realizations,omitempty"`
 	Trials       int64        `json:"trials,omitempty"`
 	Invited      []graph.Node `json:"invited,omitempty"`
-	// Targets / K / MaxDraws parameterize the "topk" op; ExtraDraws is
-	// the "topkrefine" op's additional draw budget on top of a retained
-	// topk result with the same (s, targets, k, budget, realizations).
+	// Targets / K / MaxDraws parameterize the "topk" op. "topkrefine"
+	// reads the same fields plus ExtraDraws, its additional draw budget:
+	// it answers the topk at MaxDraws+ExtraDraws (MaxDraws 0 stays
+	// exhaustive).
 	Targets    []graph.Node `json:"targets,omitempty"`
 	K          int          `json:"k,omitempty"`
 	MaxDraws   int64        `json:"maxdraws,omitempty"`

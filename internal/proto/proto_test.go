@@ -3,6 +3,7 @@ package proto
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -48,9 +49,10 @@ func TestDecodeRequest(t *testing.T) {
 			t.Errorf("%s decoded to %+v", line, req)
 		}
 	}
-	_, errResp = DecodeRequest([]byte(`{"v":2,"op":"pmax","s":0,"t":5}`))
+	future := Version + 1
+	_, errResp = DecodeRequest([]byte(fmt.Sprintf(`{"v":%d,"op":"pmax","s":0,"t":5}`, future)))
 	if errResp == nil || errResp.Code() != CodeBadRequest ||
-		!strings.Contains(errResp.Error, "unsupported protocol version 2") {
+		!strings.Contains(errResp.Error, fmt.Sprintf("unsupported protocol version %d", future)) {
 		t.Errorf("future version accepted: %+v", errResp)
 	}
 }

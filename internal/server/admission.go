@@ -18,13 +18,14 @@ var ErrOverloaded = errors.New("server: overloaded (in-flight limit reached and 
 // beyond that is rejected immediately with ErrOverloaded. A nil
 // *admission (Config.MaxInflight ≤ 0) disables the gate at zero cost.
 //
-// The gate sits at the outermost query entry points — Solve, SolveMax,
-// SolveMaxBudgets, EstimateF, Pmax, PmaxEstimate, TopK (and through it
-// TopKRefine, which delegates and must not hold two slots) — so
-// "in flight" counts client requests, including ones that will coalesce
-// onto an identical leader. Internal traffic (PairHandle acquisitions,
-// Warm, ApplyDelta migrations) is never gated: admission protects the
-// server from clients, not from itself.
+// The gate is the first step of the query pipeline (see query), which
+// every public query entry point runs through — Solve, SolveMax,
+// SolveMaxBudgets, AcceptanceProbability, Pmax, PmaxEstimate, TopK (and
+// through it TopKRefine, which delegates and must not hold two slots) —
+// so "in flight" counts client requests, including ones that will
+// coalesce onto an identical leader. Internal traffic (PairHandle
+// acquisitions, Warm, ApplyDelta migrations) is never gated: admission
+// protects the server from clients, not from itself.
 type admission struct {
 	slots    chan struct{}
 	maxQueue int64

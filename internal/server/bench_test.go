@@ -34,7 +34,7 @@ func BenchmarkServerManyPairs(b *testing.B) {
 				for _, v := range sv.Graph().Neighbors(pk.t) {
 					ns.Add(v)
 				}
-				if _, err := sv.EstimateF(ctx, pk.s, pk.t, ns, 4096); err != nil {
+				if _, err := sv.AcceptanceProbability(ctx, pk.s, pk.t, ns.Members(), 4096); err != nil {
 					b.Fatal(err)
 				}
 			} else {

@@ -156,15 +156,7 @@ func (sv *Server) migratePair(ctx context.Context, sh *shard, e *entry, next *ge
 		return nil
 	}
 	sv.lruMu.Lock()
-	if !e.evicted {
-		e.evicted = true
-		sv.bytes -= e.bytes
-		e.bytes = 0
-		if e.elem != nil {
-			sv.lru.Remove(e.elem)
-			e.elem = nil
-		}
-	}
+	sv.writeOffLocked(e)
 	e2.bytes = e2.memBytes()
 	sv.bytes += e2.bytes
 	e2.elem = sv.lru.PushFront(e2)
@@ -190,15 +182,7 @@ func (sv *Server) dropEntry(sh *shard, e *entry) {
 	}
 	sh.mu.Unlock()
 	sv.lruMu.Lock()
-	if !e.evicted {
-		e.evicted = true
-		sv.bytes -= e.bytes
-		e.bytes = 0
-		if e.elem != nil {
-			sv.lru.Remove(e.elem)
-			e.elem = nil
-		}
-	}
+	sv.writeOffLocked(e)
 	sv.lruMu.Unlock()
 }
 

@@ -345,7 +345,7 @@ func TestDeltaChurnRace(t *testing.T) {
 	}
 
 	sv := New(g, weights.NewDegree(g), Config{
-		Seed: 7, Workers: 2, Shards: 4,
+		Seed: 7, Workers: 2,
 		MaxPoolBytes: 192 << 10, SpillDir: t.TempDir(),
 	})
 	var wg sync.WaitGroup

@@ -1,8 +1,10 @@
 // Package server is the graph-level serving layer: one Server owns a
-// graph plus a weight scheme and answers Solve / SolveMax / EstimateF /
-// Pmax queries for arbitrary (s,t) pairs — the paper's online setting,
-// where many friending queries are in flight against one social network
-// at once.
+// graph plus a weight scheme and answers Solve / SolveMax /
+// AcceptanceProbability / Pmax / TopK queries for arbitrary (s,t) pairs
+// — the paper's online setting, where many friending queries are in
+// flight against one social network at once. Every query takes one
+// pipeline (see query): admission, coalescing, tracing and, for
+// single-pair kinds, the pair's acquire and release.
 //
 // Pair sessions (a core.Session plus a decorrelated evaluation-pool
 // session) are created on demand and cached in a map sharded across a
@@ -70,8 +72,9 @@ import (
 // collide with the engine's own pool/eval/estimate namespaces.
 const nsPair uint64 = 0x50616972 // "Pair"
 
-// DefaultShards is the pair-map lock count used when Config.Shards ≤ 0.
-const DefaultShards = 16
+// numShards is the number of locks the pair map is sharded across;
+// distinct pairs on distinct shards never contend on session lookup.
+const numShards = 16
 
 // Config parameterizes a Server.
 type Config struct {
@@ -81,10 +84,6 @@ type Config struct {
 	// over the budget, least-recently-used pairs are evicted until it
 	// fits. 0 disables eviction.
 	MaxPoolBytes int64
-	// Shards is the number of locks the pair map is sharded across
-	// (default DefaultShards). Distinct pairs on distinct shards never
-	// contend on session lookup.
-	Shards int
 	// Seed roots every pair's derived streams; results are pure functions
 	// of (Seed, s, t). Workers bounds sampling parallelism per query
 	// (0 = all CPUs) without affecting any result.
@@ -188,7 +187,7 @@ type shard struct {
 // concurrent use.
 type Server struct {
 	cfg    Config
-	shards []shard
+	shards [numShards]shard
 
 	// gen is the current epoch; acquire reads it inside the shard
 	// critical section on a miss, so the mutual exclusion with
@@ -231,10 +230,7 @@ type Server struct {
 
 // New returns a server for the graph under the given weight scheme.
 func New(g *graph.Graph, scheme weights.Scheme, cfg Config) *Server {
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
-	sv := &Server{cfg: cfg, shards: make([]shard, cfg.Shards), lru: list.New()}
+	sv := &Server{cfg: cfg, lru: list.New()}
 	sv.adm = newAdmission(cfg.MaxInflight, cfg.MaxQueue, &sv.ledger[ctrAdmitted], &sv.ledger[ctrRejected])
 	gfp := engine.GraphFingerprint(g, scheme)
 	sv.gen.Store(&generation{g: g, scheme: scheme, graphFP: gfp})
@@ -262,7 +258,7 @@ func packPair(k pairKey) uint64 {
 func (sv *Server) shardFor(k pairKey) *shard {
 	// Derive is a full-avalanche mix, so the low bits index uniformly.
 	h := uint64(rng.Derive(0, packPair(k)))
-	return &sv.shards[h%uint64(len(sv.shards))]
+	return &sv.shards[h%numShards]
 }
 
 // pairSeed derives the pair's root seed. Eviction and re-admission
@@ -365,13 +361,8 @@ func (sv *Server) evictLocked() []*entry {
 	}
 	var victims []*entry
 	for sv.bytes > sv.cfg.MaxPoolBytes && sv.lru.Len() > 0 {
-		el := sv.lru.Back()
-		victim := el.Value.(*entry)
-		sv.lru.Remove(el)
-		victim.elem = nil
-		victim.evicted = true
-		sv.bytes -= victim.bytes
-		victim.bytes = 0
+		victim := sv.lru.Back().Value.(*entry)
+		sv.writeOffLocked(victim)
 		sh := sv.shardFor(victim.key)
 		sh.mu.Lock()
 		if sh.m[victim.key] == victim {
@@ -384,6 +375,21 @@ func (sv *Server) evictLocked() []*entry {
 		}
 	}
 	return victims
+}
+
+// writeOffLocked marks e evicted, unlists it and uncharges its bytes; a
+// no-op for an entry already written off. Caller holds lruMu.
+func (sv *Server) writeOffLocked(e *entry) {
+	if e.evicted {
+		return
+	}
+	e.evicted = true
+	sv.bytes -= e.bytes
+	e.bytes = 0
+	if e.elem != nil {
+		sv.lru.Remove(e.elem)
+		e.elem = nil
+	}
 }
 
 // ensureRestored runs the entry's one-time spill restore. Every reader
@@ -615,141 +621,72 @@ func (sv *Server) Warm() (int, error) {
 
 // Solve runs RAF for (s,t) against the pair's cached session, with opts'
 // defaults resolved. opts.Seed and opts.Workers are ignored in favor of
-// the server's per-pair streams. Concurrent identical calls coalesce into
-// one execution (see coalesce). Subject to admission control
-// (Config.MaxInflight), like every public query method.
+// the server's per-pair streams.
 func (sv *Server) Solve(ctx context.Context, s, t graph.Node, opts Options) (*Solution, error) {
-	if err := sv.admit(ctx); err != nil {
-		return nil, err
-	}
-	defer sv.admitDone()
 	cfg := opts.coreConfig()
-	v, err := sv.coalesce(KindSolve, s, t, pairParams(fmt.Sprintf("%+v", cfg)), func() (any, error) {
-		return sv.solve(ctx, s, t, cfg)
+	res, err := pairQuery(ctx, sv, KindSolve, s, t, fmt.Sprintf("%+v", cfg), func(ctx context.Context, e *entry) (*core.Result, error) {
+		res, err := e.Core.RAF(ctx, cfg)
+		if err != nil {
+			return nil, err
+		}
+		sv.ledger[ctrPmaxDrawsReused].Add(res.PmaxReused)
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return newSolution(v.(*core.Result)), nil
-}
-
-func (sv *Server) solve(ctx context.Context, s, t graph.Node, cfg core.Config) (res *core.Result, err error) {
-	ctx, obsEnd := sv.obsBegin(ctx, KindSolve)
-	defer func() { obsEnd(err) }()
-	e, err := sv.acquire(ctx, KindSolve, s, t)
-	if err != nil {
-		return nil, err
-	}
-	defer sv.release(e)
-	res, err = e.Core.RAF(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	sv.ledger[ctrPmaxDrawsReused].Add(res.PmaxReused)
-	return res, nil
+	return newSolution(res), nil
 }
 
 // SolveMax runs the budgeted maximum variant for (s,t) against the
 // pair's cached solve pool (realizations ≤ 0 selects the default size)
 // and re-measures the chosen set on the pair's decorrelated evaluation
-// pool; see PairSessions.SolveMax. Concurrent identical calls coalesce
-// into one execution (see coalesce).
+// pool; see PairSessions.SolveMax.
 func (sv *Server) SolveMax(ctx context.Context, s, t graph.Node, budget int, realizations int64) (*MaxSolution, error) {
-	sols, err := sv.solveMaxQuery(ctx, s, t, pairParams("max", budget, realizations), func(p PairSessions) (maxRun, error) {
-		return p.solveMax(ctx, budget, realizations)
+	r, err := pairQuery(ctx, sv, KindSolveMax, s, t, pairParams("max", budget, realizations), func(ctx context.Context, e *entry) (maxRun, error) {
+		return e.solveMax(ctx, budget, realizations)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return sols[0], nil
+	return r.solutions()[0], nil
 }
 
 // SolveMaxBudgets answers a whole budget sweep for (s,t) in one shot
 // against the pair's cached pools; see PairSessions.SolveMaxBudgets.
-// Results are identical to calling SolveMax per budget. Concurrent
-// identical calls coalesce into one execution (see coalesce).
+// Results are identical to calling SolveMax per budget.
 func (sv *Server) SolveMaxBudgets(ctx context.Context, s, t graph.Node, budgets []int, realizations int64) ([]*MaxSolution, error) {
-	return sv.solveMaxQuery(ctx, s, t, pairParams("sweep", budgets, realizations), func(p PairSessions) (maxRun, error) {
-		return p.solveMaxBudgets(ctx, budgets, realizations)
-	})
-}
-
-func (sv *Server) solveMaxQuery(ctx context.Context, s, t graph.Node, params string, solve func(PairSessions) (maxRun, error)) ([]*MaxSolution, error) {
-	if err := sv.admit(ctx); err != nil {
-		return nil, err
-	}
-	defer sv.admitDone()
-	v, err := sv.coalesce(KindSolveMax, s, t, params, func() (_ any, err error) {
-		ctx, obsEnd := sv.obsBegin(ctx, KindSolveMax)
-		defer func() { obsEnd(err) }()
-		e, err := sv.acquire(ctx, KindSolveMax, s, t)
-		if err != nil {
-			return nil, err
-		}
-		defer sv.release(e)
-		return solve(e.PairSessions)
+	r, err := pairQuery(ctx, sv, KindSolveMax, s, t, pairParams("sweep", budgets, realizations), func(ctx context.Context, e *entry) (maxRun, error) {
+		return e.solveMaxBudgets(ctx, budgets, realizations)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(maxRun).solutions(), nil
-}
-
-// EstimateF estimates f(invited) for (s,t) as a coverage query against
-// the pair's cached evaluation pool, grown to at least trials draws.
-func (sv *Server) EstimateF(ctx context.Context, s, t graph.Node, invited *graph.NodeSet, trials int64) (_ float64, err error) {
-	if err := sv.admit(ctx); err != nil {
-		return 0, err
-	}
-	defer sv.admitDone()
-	ctx, obsEnd := sv.obsBegin(ctx, KindEstimateF)
-	defer func() { obsEnd(err) }()
-	e, err := sv.acquire(ctx, KindEstimateF, s, t)
-	if err != nil {
-		return 0, err
-	}
-	defer sv.release(e)
-	return e.Eval.EstimateF(ctx, invited, trials)
+	return r.solutions(), nil
 }
 
 // AcceptanceProbability validates invited against the current graph and
-// estimates f(invited) for (s,t); see EstimateF.
+// estimates f(invited) for (s,t) as a coverage query against the pair's
+// cached evaluation pool, grown to at least trials draws. An invalid set
+// is refused before admission: it never takes a slot.
 func (sv *Server) AcceptanceProbability(ctx context.Context, s, t graph.Node, invited []graph.Node, trials int64) (float64, error) {
 	set, err := InvitedSet(sv.Graph(), invited)
 	if err != nil {
 		return 0, err
 	}
-	return sv.EstimateF(ctx, s, t, set, trials)
+	return pairQuery(ctx, sv, KindEstimateF, s, t, pairParams(trials, invited), func(ctx context.Context, e *entry) (float64, error) {
+		return e.Eval.EstimateF(ctx, set, trials)
+	})
 }
 
 // Pmax estimates p_max for (s,t) from the pair's evaluation pool — the
 // cheap fixed-budget estimate (the pool's type-1 fraction over exactly
 // trials draws). For an estimate with the paper's (ε₀, 1/N) stopping-rule
-// guarantee, use PmaxEstimate. Concurrent identical calls coalesce into
-// one execution (see coalesce).
+// guarantee, use PmaxEstimate.
 func (sv *Server) Pmax(ctx context.Context, s, t graph.Node, trials int64) (float64, error) {
-	if err := sv.admit(ctx); err != nil {
-		return 0, err
-	}
-	defer sv.admitDone()
-	v, err := sv.coalesce(KindPmax, s, t, pairParams(trials), func() (any, error) {
-		return sv.pmaxQuery(ctx, s, t, trials)
+	return pairQuery(ctx, sv, KindPmax, s, t, pairParams(trials), func(ctx context.Context, e *entry) (float64, error) {
+		return e.Eval.FractionType1(ctx, trials)
 	})
-	if err != nil {
-		return 0, err
-	}
-	return v.(float64), nil
-}
-
-func (sv *Server) pmaxQuery(ctx context.Context, s, t graph.Node, trials int64) (_ float64, err error) {
-	ctx, obsEnd := sv.obsBegin(ctx, KindPmax)
-	defer func() { obsEnd(err) }()
-	e, err := sv.acquire(ctx, KindPmax, s, t)
-	if err != nil {
-		return 0, err
-	}
-	defer sv.release(e)
-	return e.Eval.FractionType1(ctx, trials)
 }
 
 // PmaxEstimate runs the Algorithm 2 stopping rule for (s,t) through the
@@ -758,34 +695,14 @@ func (sv *Server) pmaxQuery(ctx context.Context, s, t graph.Node, trials int64) 
 // every draw already paid for (the reuse is ledgered in
 // Stats().PmaxDrawsReused), and the estimator state rides the spill tier
 // across eviction and restarts. The result is a pure function of (Seed,
-// s, t, eps0, n, maxDraws). Concurrent identical calls coalesce into one
-// execution (see coalesce).
+// s, t, eps0, n, maxDraws).
 func (sv *Server) PmaxEstimate(ctx context.Context, s, t graph.Node, eps0, n float64, maxDraws int64) (PmaxEstimate, error) {
-	if err := sv.admit(ctx); err != nil {
-		return PmaxEstimate{}, err
-	}
-	defer sv.admitDone()
 	eps0, n, maxDraws = pmaxArgs(eps0, n, maxDraws)
-	v, err := sv.coalesce(KindPmaxEst, s, t, pairParams(eps0, n, maxDraws), func() (any, error) {
-		return sv.pmaxEstimate(ctx, s, t, eps0, n, maxDraws)
+	return pairQuery(ctx, sv, KindPmaxEst, s, t, pairParams(eps0, n, maxDraws), func(ctx context.Context, e *entry) (PmaxEstimate, error) {
+		res, err := e.estimatePmax(ctx, eps0, n, maxDraws)
+		sv.ledger[ctrPmaxDrawsReused].Add(res.Reused)
+		return res, err
 	})
-	if err != nil {
-		return PmaxEstimate{}, err
-	}
-	return v.(PmaxEstimate), nil
-}
-
-func (sv *Server) pmaxEstimate(ctx context.Context, s, t graph.Node, eps0, n float64, maxDraws int64) (_ PmaxEstimate, err error) {
-	ctx, obsEnd := sv.obsBegin(ctx, KindPmaxEst)
-	defer func() { obsEnd(err) }()
-	e, err := sv.acquire(ctx, KindPmaxEst, s, t)
-	if err != nil {
-		return PmaxEstimate{}, err
-	}
-	defer sv.release(e)
-	res, err := e.estimatePmax(ctx, eps0, n, maxDraws)
-	sv.ledger[ctrPmaxDrawsReused].Add(res.Reused)
-	return res, err
 }
 
 // PairHandle exposes a pair's cached sessions for harness use (the eval

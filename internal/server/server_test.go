@@ -58,7 +58,7 @@ func queryAll(t *testing.T, sv *Server, pairs []pairKey, rounds int) []string {
 			for _, v := range sv.Graph().Neighbors(pk.t) {
 				invited.Add(v)
 			}
-			f, err := sv.EstimateF(ctx, pk.s, pk.t, invited, 3000)
+			f, err := sv.AcceptanceProbability(ctx, pk.s, pk.t, invited.Members(), 3000)
 			out = append(out, fmt.Sprintf("estf(%d,%d)=%.9f/%v", pk.s, pk.t, f, err))
 			res, err := sv.Solve(ctx, pk.s, pk.t, solveCfg)
 			if err != nil {
@@ -103,7 +103,7 @@ func TestEvictThenRequeryDeterminism(t *testing.T) {
 		{Seed: 7, Workers: 4},                          // worker count must not matter
 		{Seed: 7, Workers: 2, MaxPoolBytes: 64 << 10},  // constant eviction
 		{Seed: 7, Workers: 1, MaxPoolBytes: 256 << 10}, // occasional eviction
-		{Seed: 7, Workers: 3, Shards: 1},               // single shard
+		{Seed: 7, Workers: 3},                          // another worker count
 	} {
 		sv := New(g, weights.NewDegree(g), cfg)
 		got := queryAll(t, sv, pairs, 2)
@@ -136,7 +136,7 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 	baseline := New(g, weights.NewDegree(g), Config{Seed: 3, Workers: 1})
 	want := queryAll(t, baseline, pairs, 1)
 
-	sv := New(g, weights.NewDegree(g), Config{Seed: 3, Workers: 2, MaxPoolBytes: 128 << 10, Shards: 4})
+	sv := New(g, weights.NewDegree(g), Config{Seed: 3, Workers: 2, MaxPoolBytes: 128 << 10})
 	got := make([]string, len(pairs))
 	var wg sync.WaitGroup
 	for i, pk := range pairs {

@@ -92,25 +92,19 @@ func (r *topkRun) result() *TopKResult {
 // of (Seed, S, target, Budget, l) that SolveMax computes, so a full-
 // budget run returns byte-identical winners, scores and invitation sets
 // to len(Targets) independent SolveMax calls, for any worker count and
-// any eviction schedule. Concurrent identical calls coalesce into one
-// execution (see coalesce).
+// any eviction schedule. TopK goes through the query pipeline without a
+// pair acquisition of its own: each candidate acquires its own pair.
 func (sv *Server) TopK(ctx context.Context, q TopKQuery) (*TopKResult, error) {
-	if err := sv.admit(ctx); err != nil {
-		return nil, err
-	}
-	defer sv.admitDone()
-	v, err := sv.coalesce(KindTopK, q.S, q.S, pairParams(q.Targets, q.K, q.Budget, q.Realizations, q.MaxDraws), func() (any, error) {
+	run, err := query(ctx, sv, KindTopK, q.S, q.S, pairParams(q.Targets, q.K, q.Budget, q.Realizations, q.MaxDraws), func(ctx context.Context) (*topkRun, error) {
 		return sv.topK(ctx, q)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*topkRun).result(), nil
+	return run.result(), nil
 }
 
 func (sv *Server) topK(ctx context.Context, q TopKQuery) (_ *topkRun, err error) {
-	ctx, obsEnd := sv.obsBegin(ctx, KindTopK)
-	defer func() { obsEnd(err) }()
 	n := len(q.Targets)
 	if n == 0 {
 		return nil, fmt.Errorf("server: topk with no targets")
@@ -171,28 +165,36 @@ func (sv *Server) topK(ctx context.Context, q TopKQuery) (_ *topkRun, err error)
 	return run, nil
 }
 
+// Refine returns the query a refinement with extraDraws more budget
+// runs: a budgeted query's MaxDraws grows by extraDraws, and an
+// exhaustive (MaxDraws = 0) one stays exhaustive. A budget that reaches
+// the exhaustive bill needs no clamp — rank.NewPlan plans it as
+// exhaustive.
+func (q TopKQuery) Refine(extraDraws int64) (TopKQuery, error) {
+	if extraDraws <= 0 {
+		return q, fmt.Errorf("server: topk refine extraDraws=%d must be positive", extraDraws)
+	}
+	if q.MaxDraws != 0 {
+		q.MaxDraws += extraDraws
+	}
+	return q, nil
+}
+
 // TopKRefine resumes a finished scheduled run with extraDraws more
-// budget: the request is re-planned at the enlarged budget and re-run
-// against the same pair cache, where every pool the first run grew is
-// still warm (or restorable) — so the refinement pays only the
-// incremental draws of the deeper schedule. The anytime contract: the
-// refined result equals what a cold run at the enlarged budget would
-// have returned (purity), while DrawsSpent records only the top-up.
-// Refining an exhaustive (MaxDraws = 0) result is a no-op re-scoring
-// from warm pools.
+// budget: the request is re-planned at the enlarged budget (see
+// TopKQuery.Refine) and re-run against the same pair cache, where every
+// pool the first run grew is still warm (or restorable) — so the
+// refinement pays only the incremental draws of the deeper schedule. The
+// anytime contract: the refined result equals what a cold run at the
+// enlarged budget would have returned (purity), while DrawsSpent records
+// only the top-up.
 func (sv *Server) TopKRefine(ctx context.Context, prev *TopKResult, extraDraws int64) (*TopKResult, error) {
 	if prev == nil || prev.query.Targets == nil {
 		return nil, fmt.Errorf("server: topk refine needs a result returned by TopK")
 	}
-	if extraDraws <= 0 {
-		return nil, fmt.Errorf("server: topk refine extraDraws=%d must be positive", extraDraws)
-	}
-	q := prev.query
-	if q.MaxDraws != 0 {
-		q.MaxDraws += extraDraws
-		if q.MaxDraws >= prev.ExhaustiveDraws {
-			q.MaxDraws = 0 // budget now admits the exhaustive plan
-		}
+	q, err := prev.query.Refine(extraDraws)
+	if err != nil {
+		return nil, err
 	}
 	return sv.TopK(ctx, q)
 }

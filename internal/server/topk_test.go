@@ -372,6 +372,50 @@ func TestCoalesceConcurrentQueries(t *testing.T) {
 	}
 }
 
+// TestCoalesceAcceptance: acceptance reads take the same pipeline as
+// every other kind, so racing identical AcceptanceProbability calls
+// coalesce and all see one answer. Callers released together on a cold
+// 200k-draw evaluation pool overlap the flight; the retry bound keeps
+// scheduler luck from flaking the test.
+func TestCoalesceAcceptance(t *testing.T) {
+	g := testGraph(40, 50)
+	pk := validPairs(g, 1)[0]
+	invited := append([]graph.Node{pk.t}, g.Neighbors(pk.t)...)
+	ctx := context.Background()
+	const callers = 8
+	for attempt := 0; ; attempt++ {
+		sv := New(g, weights.NewDegree(g), Config{Seed: 7, Workers: 1})
+		fs := make([]float64, callers)
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for i := range fs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				start.Wait()
+				f, err := sv.AcceptanceProbability(ctx, pk.s, pk.t, invited, 200000)
+				if err != nil {
+					t.Error(err)
+				}
+				fs[i] = f
+			}(i)
+		}
+		start.Done()
+		wg.Wait()
+		for i := 1; i < callers; i++ {
+			if fs[i] != fs[0] {
+				t.Fatalf("caller %d got f=%v, caller 0 got %v", i, fs[i], fs[0])
+			}
+		}
+		if sv.Stats().Coalesced > 0 {
+			return
+		}
+		if attempt == 20 {
+			t.Fatal("no AcceptanceProbability call coalesced in 20 attempts")
+		}
+	}
+}
+
 // TestCoalesceEpochKeying: a flight opened at one epoch must not serve a
 // query that starts after ApplyDelta — the keys differ by generation.
 func TestCoalesceEpochKeying(t *testing.T) {

@@ -60,7 +60,7 @@ func TestWireMirrorsFacade(t *testing.T) {
 		{"MaxSolution", `{"op":"solvemax","s":0,"t":5,"budget":2,"realizations":4000}`, &MaxSolution{}},
 		{"MaxSolution budgets", `{"op":"solvemax","s":0,"t":5,"budgets":[1,2,3],"realizations":4000}`, []*MaxSolution{}},
 		{"TopKResult", `{"op":"topk","s":0,"targets":[3,4,5,6,7],"k":2,"budget":2,"realizations":2048,"maxdraws":6000}`, &TopKResult{}},
-		{"TopKResult refine", `{"op":"topkrefine","s":0,"targets":[3,4,5,6,7],"k":2,"budget":2,"realizations":2048,"extradraws":4000}`, &TopKResult{}},
+		{"TopKResult refine", `{"op":"topkrefine","s":0,"targets":[3,4,5,6,7],"k":2,"budget":2,"realizations":2048,"maxdraws":6000,"extradraws":4000}`, &TopKResult{}},
 		{"DeltaSummary", `{"op":"delta","add":[[6,7],[5,7]]}`, &DeltaSummary{}},
 		{"ServerStats", `{"op":"stats"}`, ServerStats{}},
 	}
