@@ -92,21 +92,69 @@ func fpFinalize(h uint64) uint64 {
 // applying a delta changes it, and the lineage of these values is what
 // lets a restore recognize a snapshot from an earlier epoch of the same
 // evolving graph (see Lineage).
+//
+// The hash is a wrapping sum of per-row hashes — row v hashes v, deg(v)
+// and each (u, w(u,v)) for u ∈ N(v) — finalized with the node count.
+// The sum is what makes epochs cheap: AdvanceRowSum carries it across a
+// delta by rehashing only the dirty and appended rows, and the result
+// equals this full recompute. Every fingerprint depends on this
+// definition: spill files written under another one load as an
+// instance mismatch and resample (their answers are unaffected).
 func GraphFingerprint(g *graph.Graph, w weights.Scheme) uint64 {
-	// Word-wise FNV-1a (whole uint64 per round, not per byte — this runs
-	// on server construction and every delta, so it must stay a small
-	// fraction of a reload) with a murmur3 finalizer.
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	mix := func(v uint64) { h = (h ^ v) * prime64 }
-	mix(uint64(g.NumNodes()))
+	return FingerprintFromRowSum(GraphRowSum(g, w), g.NumNodes())
+}
+
+// GraphRowSum returns the wrapping sum of (g, w)'s row hashes: the raw
+// state GraphFingerprint finalizes and AdvanceRowSum updates.
+func GraphRowSum(g *graph.Graph, w weights.Scheme) uint64 {
+	var sum uint64
 	for v := graph.Node(0); v < graph.Node(g.NumNodes()); v++ {
-		nb := g.Neighbors(v)
-		mix(uint64(len(nb)))
-		for _, u := range nb {
-			mix(uint64(u))
-			mix(math.Float64bits(w.W(u, v)))
+		sum += rowHash(g, w, v)
+	}
+	return sum
+}
+
+// AdvanceRowSum carries a row sum of (g, w) across a delta to (g2, w2):
+// it subtracts the old hashes of the dirty rows (sorted distinct, as
+// Delta.Apply returns them, plus weight-update endpoints) and adds the
+// new hashes of the dirty rows and of every row g2 appended. The result
+// equals GraphRowSum(g2, w2) whenever clean rows keep their incoming
+// weights, as they do for every scheme weights.Rebuild produces: a
+// Degree or Uniform weight w(u,v) depends on deg(v) alone, and Explicit
+// rebuilds copy clean rows verbatim. Cost: O(Σ deg(dirty) + appended).
+func AdvanceRowSum(sum uint64, g *graph.Graph, w weights.Scheme, g2 *graph.Graph, w2 weights.Scheme, dirty []graph.Node) uint64 {
+	n := graph.Node(g.NumNodes())
+	for _, v := range dirty {
+		if v >= n {
+			break // appended: added below
 		}
+		sum += rowHash(g2, w2, v) - rowHash(g, w, v)
+	}
+	for v := n; v < graph.Node(g2.NumNodes()); v++ {
+		sum += rowHash(g2, w2, v)
+	}
+	return sum
+}
+
+// FingerprintFromRowSum finalizes a row sum over n nodes into the graph
+// fingerprint.
+func FingerprintFromRowSum(sum uint64, n int) uint64 {
+	const prime64 = 1099511628211
+	return fpFinalize((sum ^ uint64(n)) * prime64)
+}
+
+// rowHash hashes row v of (g, w) — v, deg(v), then each (u, w(u,v)) —
+// by word-wise FNV-1a (whole uint64 per round, not per byte) with the
+// murmur3 finalizer, so the rows' wrapping sum stays well mixed.
+func rowHash(g *graph.Graph, w weights.Scheme, v graph.Node) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	nb := g.Neighbors(v)
+	h := uint64(offset64)
+	h = (h ^ uint64(v)) * prime64
+	h = (h ^ uint64(len(nb))) * prime64
+	for _, u := range nb {
+		h = (h ^ uint64(u)) * prime64
+		h = (h ^ math.Float64bits(w.W(u, v))) * prime64
 	}
 	return fpFinalize(h)
 }

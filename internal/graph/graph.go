@@ -12,6 +12,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -155,34 +156,22 @@ func (b *Builder) AddEdge(u, v Node) {
 func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 
 // Build produces the immutable CSR graph and leaves the builder reusable
-// (its recorded edges are retained).
+// (its recorded edges are retained, untouched).
+//
+// The CSR is built by counting sort: count degrees, scatter every edge
+// into both endpoint rows, then sort each row and drop its duplicate
+// entries in place, sliding rows left over the freed slots. That is
+// O(n + m) plus O(Σ d·log d) over the rows, with no global sort of the
+// edge list.
 func (b *Builder) Build() *Graph {
-	// Sort and deduplicate.
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].U != b.edges[j].U {
-			return b.edges[i].U < b.edges[j].U
-		}
-		return b.edges[i].V < b.edges[j].V
-	})
-	uniq := b.edges[:0]
-	var last Edge = Edge{U: -1, V: -1}
-	for _, e := range b.edges {
-		if e != last {
-			uniq = append(uniq, e)
-			last = e
-		}
-	}
-	b.edges = uniq
-
 	n := b.n
-	deg := make([]int32, n+1)
-	for _, e := range b.edges {
-		deg[e.U+1]++
-		deg[e.V+1]++
-	}
 	offsets := make([]int32, n+1)
-	for i := 1; i <= n; i++ {
-		offsets[i] = offsets[i-1] + deg[i]
+	for _, e := range b.edges {
+		offsets[e.U+1]++
+		offsets[e.V+1]++
+	}
+	for v := 1; v <= n; v++ {
+		offsets[v] += offsets[v-1]
 	}
 	adj := make([]Node, offsets[n])
 	cursor := make([]int32, n)
@@ -193,16 +182,25 @@ func (b *Builder) Build() *Graph {
 		adj[cursor[e.V]] = e.U
 		cursor[e.V]++
 	}
-	g := &Graph{offsets: offsets, adj: adj, m: int64(len(b.edges))}
-	// Each adjacency list is already sorted because edges were processed in
-	// (U,V) order for the U side; the V side needs sorting.
+	var w int32 // compacted end; never ahead of the row being read
 	for v := 0; v < n; v++ {
-		ns := adj[offsets[v]:offsets[v+1]]
-		if !sort.SliceIsSorted(ns, func(i, j int) bool { return ns[i] < ns[j] }) {
-			sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+		row := adj[offsets[v]:offsets[v+1]]
+		offsets[v] = w
+		slices.Sort(row)
+		prev := Node(-1)
+		for _, u := range row {
+			if u != prev {
+				adj[w] = u
+				w++
+				prev = u
+			}
 		}
 	}
-	return g
+	offsets[n] = w
+	if int(w) < len(adj) {
+		adj = slices.Clone(adj[:w]) // duplicates were dropped: release the slack
+	}
+	return &Graph{offsets: offsets, adj: adj, m: int64(w / 2)}
 }
 
 // FromEdges builds a graph with n nodes from the given edge list.

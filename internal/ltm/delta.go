@@ -38,14 +38,13 @@ func (in *Instance) RebindTo(g *graph.Graph, w weights.Scheme, dirty []graph.Nod
 	}
 	// Reuse compiled sampling state when it exists: rebuild only the
 	// dirty nodes' rows. Untouched rows stay byte-identical, which is
-	// what keeps undamaged pool chunks adoptable across the delta.
-	var compiled *weights.Plan
-	in.planOnce.Do(func() {}) // settle the once so reading in.plan is safe
-	if in.plan != nil {
-		compiled = in.plan.Rebuild(g, w, dirty)
-	}
-	if compiled != nil {
-		next.planOnce.Do(func() { next.plan = compiled })
+	// what keeps undamaged pool chunks adoptable across the delta. A plan
+	// not compiled yet is left to next's own lazy compile (equal row for
+	// row), and in's once is left alone: a query still running on in
+	// must be able to compile in's plan after this call.
+	if p := in.plan.Load(); p != nil {
+		compiled := p.Rebuild(g, w, dirty)
+		next.planOnce.Do(func() { next.plan.Store(compiled) })
 	}
 	return next, nil
 }

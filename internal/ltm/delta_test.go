@@ -57,6 +57,28 @@ func TestInstanceApplyDelta(t *testing.T) {
 	}
 }
 
+// TestRebindToLeavesLazyPlan: rebinding an instance whose plan was never
+// compiled must leave that instance able to compile it — a query in
+// flight at the old epoch samples through it after the delta returns.
+func TestRebindToLeavesLazyPlan(t *testing.T) {
+	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
+	in, err := NewInstance(g, weights.NewDegree(g), 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, dirty, err := (&graph.Delta{Add: []graph.Edge{{U: 1, V: 3}}}).Apply(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := in.RebindTo(g2, weights.NewDegree(g2), dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Plan() == nil || next.Plan() == nil {
+		t.Fatal("a plan left uncompiled by RebindTo is nil")
+	}
+}
+
 func TestInstanceApplyDeltaDissolves(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)

@@ -128,6 +128,25 @@ func TestDispatchUnknownOp(t *testing.T) {
 	}
 }
 
+// TestDispatchDeltaFarEndpoint: a delta line naming a node far past the
+// graph is refused with an error reply before anything is sized by it —
+// the served graph keeps its node count — and the next query is still
+// answered.
+func TestDispatchDeltaFarEndpoint(t *testing.T) {
+	d := testDispatcher(t, server.Config{Seed: 7})
+	ctx := context.Background()
+	resp := d.DispatchLine(ctx, []byte(`{"id":1,"op":"delta","add":[[0,2147483646]]}`))
+	if resp.OK || resp.Code() != CodeError || !strings.Contains(resp.Error, "node out of range") {
+		t.Fatalf("far delta reply: %+v code %v", resp, resp.Code())
+	}
+	if n := d.sv.Graph().NumNodes(); n != 6 {
+		t.Fatalf("refused delta changed the graph to %d nodes", n)
+	}
+	if resp := d.DispatchLine(ctx, []byte(`{"id":2,"op":"pmax","s":0,"t":5,"trials":2000}`)); !resp.OK {
+		t.Fatalf("query after a refused delta: %+v", resp)
+	}
+}
+
 // TestDispatchOverloaded: when the server's admission gate rejects, the
 // reply carries CodeOverloaded (HTTP 429 / pipe error reply) rather
 // than the generic domain-error code. A barrier-started burst against

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/weights"
 )
@@ -79,6 +80,46 @@ func BenchmarkAdmissionReject(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := sv.admit(ctx); err != ErrOverloaded {
 			b.Fatalf("admit under saturation: %v", err)
+		}
+	}
+}
+
+// BenchmarkApplyDeltaFloor is the write path's floor on the Youtube
+// analog at scale 0.05 (56,744 nodes, 299,048 edges): single-edge
+// deltas, alternately adding and removing one edge, on a server that
+// holds no pair — graph apply, weight rebuild and the epoch's
+// fingerprint, with nothing to repair.
+func BenchmarkApplyDeltaFloor(b *testing.B) {
+	ds, err := gen.DatasetByName("Youtube")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := ds.Generate(0.05, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sv := New(g, weights.NewDegree(g), Config{Seed: 1})
+	// Two late arrivals: low degree, and not adjacent.
+	n := graph.Node(g.NumNodes())
+	e := graph.Edge{U: n - 1, V: n - 2}
+	if g.HasEdge(e.U, e.V) {
+		e.V = n - 3
+	}
+	add, remove := &graph.Delta{Add: []graph.Edge{e}}, &graph.Delta{Remove: []graph.Edge{e}}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := add
+		if i%2 == 1 {
+			d = remove
+		}
+		res, err := sv.ApplyDelta(ctx, d, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Dirty) != 2 {
+			b.Fatalf("delta %d dirtied %v, want both endpoints", i, res.Dirty)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 
@@ -29,6 +30,11 @@ import (
 // never a torn answer). A delta that changes nothing returns an empty
 // Dirty set and advances no epoch. Concurrent ApplyDelta calls are
 // serialized.
+//
+// An added edge may grow the graph, but only by as many nodes as the
+// delta could connect: an endpoint at or past NumNodes() + 2·len(d.Add)
+// is refused with an error wrapping graph.ErrNodeOutOfRange before
+// anything is allocated, so one request cannot size the graph at will.
 func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weights.EdgeWeight) (*DeltaSummary, error) {
 	sv.deltaMu.Lock()
 	defer sv.deltaMu.Unlock()
@@ -36,6 +42,13 @@ func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weig
 	cur := sv.gen.Load()
 	if d == nil {
 		d = &graph.Delta{}
+	}
+	limit := cur.g.NumNodes() + 2*len(d.Add)
+	for _, e := range d.Add {
+		if int(max(e.U, e.V)) >= limit {
+			return nil, fmt.Errorf("%w: delta edge (%d,%d) reaches past node %d (graph has %d nodes, delta adds %d edges)",
+				graph.ErrNodeOutOfRange, e.U, e.V, limit-1, cur.g.NumNodes(), len(d.Add))
+		}
 	}
 	g2, dirty, err := d.Apply(cur.g)
 	if err != nil {
@@ -62,7 +75,7 @@ func (sv *Server) ApplyDelta(ctx context.Context, d *graph.Delta, updates []weig
 		return nil, err
 	}
 
-	next := &generation{g: g2, scheme: scheme2, graphFP: engine.GraphFingerprint(g2, scheme2)}
+	next := newGeneration(g2, scheme2, engine.AdvanceRowSum(cur.rowSum, cur.g, cur.scheme, g2, scheme2, dirty))
 	// Store the generation BEFORE walking any shard: an acquire miss
 	// reads sv.gen inside its shard critical section, so every entry the
 	// walk below does not see was created at (or after) the new epoch.

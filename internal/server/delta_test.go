@@ -2,12 +2,14 @@ package server
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/weights"
 )
@@ -117,6 +119,109 @@ func TestApplyDeltaNoOp(t *testing.T) {
 	}
 	if sv.Epochs() != 1 || sv.Stats().DeltasApplied != 0 {
 		t.Fatalf("no-op delta advanced the epoch")
+	}
+}
+
+// TestApplyDeltaFingerprintIncremental: the fingerprint ApplyDelta
+// carries across epochs (old dirty-row hashes out, new dirty and
+// appended rows in) equals a full engine.GraphFingerprint recompute at
+// every epoch, under every scheme weights.Rebuild supports — Explicit
+// with weight updates too — and moves whenever the dirty set is
+// non-empty.
+func TestApplyDeltaFingerprintIncremental(t *testing.T) {
+	ctx := context.Background()
+	g0 := testGraph(40, 40)
+	uniform, err := weights.NewUniform(g0, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := weights.NewExplicit(g0, func(_, v graph.Node) float64 { return 1 / float64(2*g0.Degree(v)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		scheme weights.Scheme
+	}{{"degree", weights.NewDegree(g0)}, {"uniform", uniform}, {"explicit", explicit}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sv := New(g0, tc.scheme, Config{Seed: 1, Workers: 1})
+			r := rand.New(rand.NewSource(5))
+			applied := 0
+			for step := 0; step < 60; step++ {
+				prev := sv.gen.Load()
+				g := prev.g
+				n := g.NumNodes()
+				d := &graph.Delta{}
+				for i := 0; i < 1+r.Intn(4); i++ {
+					e := graph.Edge{U: graph.Node(r.Intn(n + 2)), V: graph.Node(r.Intn(n))}
+					if e.U == e.V {
+						continue
+					}
+					if r.Intn(2) == 0 {
+						d.Add = append(d.Add, e)
+					} else {
+						d.Remove = append(d.Remove, e)
+					}
+				}
+				var updates []weights.EdgeWeight
+				if tc.name == "explicit" && r.Intn(2) == 0 {
+					es := g.Edges()
+					e := es[r.Intn(len(es))]
+					updates = append(updates, weights.EdgeWeight{U: e.U, V: e.V, WUV: r.Float64() / 100, WVU: r.Float64() / 100})
+				}
+				res, err := sv.ApplyDelta(ctx, d, updates)
+				if errors.Is(err, graph.ErrDeltaConflict) {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				cur := sv.gen.Load()
+				if len(res.Dirty) == 0 {
+					if cur != prev {
+						t.Fatalf("step %d: an empty dirty set advanced the epoch", step)
+					}
+					continue
+				}
+				applied++
+				if want := engine.GraphRowSum(cur.g, cur.scheme); cur.rowSum != want {
+					t.Fatalf("step %d: carried row sum %#x, recomputed %#x", step, cur.rowSum, want)
+				}
+				if want := engine.GraphFingerprint(cur.g, cur.scheme); cur.graphFP != want {
+					t.Fatalf("step %d: carried fingerprint %#x, recomputed %#x", step, cur.graphFP, want)
+				}
+				if cur.graphFP == prev.graphFP {
+					t.Fatalf("step %d: dirty %v left the fingerprint unchanged", step, res.Dirty)
+				}
+			}
+			if applied < 30 {
+				t.Fatalf("only %d of 60 deltas changed the graph", applied)
+			}
+		})
+	}
+}
+
+// TestApplyDeltaRefusesFarEndpoint: an added endpoint at or past
+// NumNodes() + 2·len(Add) is refused with ErrNodeOutOfRange before the
+// graph is touched; one just inside the reach grows the graph.
+func TestApplyDeltaRefusesFarEndpoint(t *testing.T) {
+	g := testGraph(10, 5)
+	sv := New(g, weights.NewDegree(g), Config{Seed: 1, Workers: 1})
+	ctx := context.Background()
+	for _, far := range []graph.Node{12, 1 << 30, 2147483646} {
+		_, err := sv.ApplyDelta(ctx, &graph.Delta{Add: []graph.Edge{{U: far, V: 0}}}, nil)
+		if !errors.Is(err, graph.ErrNodeOutOfRange) {
+			t.Fatalf("endpoint %d: err = %v, want ErrNodeOutOfRange", far, err)
+		}
+	}
+	if sv.Epochs() != 1 || sv.Graph().NumNodes() != 10 {
+		t.Fatalf("a refused delta changed the server: %d epochs, %d nodes", sv.Epochs(), sv.Graph().NumNodes())
+	}
+	if _, err := sv.ApplyDelta(ctx, &graph.Delta{Add: []graph.Edge{{U: 0, V: 11}}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := sv.Graph().NumNodes(); n != 12 {
+		t.Fatalf("NumNodes = %d, want 12", n)
 	}
 }
 

@@ -169,13 +169,22 @@ type entry struct {
 
 // generation is one epoch of the served graph: the graph, its rebuilt
 // weight scheme, and the graph fingerprint that names the epoch in the
-// lineage. ApplyDelta swaps the server's generation pointer atomically;
-// entries remember the generation they were built for, so a delta's
-// migration walk can tell stale pairs from ones already at the head.
+// lineage, with the raw row sum it finalizes (engine.GraphRowSum) so
+// the next delta can advance it in O(Σ deg(dirty)). ApplyDelta swaps
+// the server's generation pointer atomically; entries remember the
+// generation they were built for, so a delta's migration walk can tell
+// stale pairs from ones already at the head.
 type generation struct {
 	g       *graph.Graph
 	scheme  weights.Scheme
+	rowSum  uint64
 	graphFP uint64
+}
+
+// newGeneration finalizes rowSum, the row sum of (g, scheme), into the
+// epoch's fingerprint.
+func newGeneration(g *graph.Graph, scheme weights.Scheme, rowSum uint64) *generation {
+	return &generation{g: g, scheme: scheme, rowSum: rowSum, graphFP: engine.FingerprintFromRowSum(rowSum, g.NumNodes())}
 }
 
 type shard struct {
@@ -232,9 +241,9 @@ type Server struct {
 func New(g *graph.Graph, scheme weights.Scheme, cfg Config) *Server {
 	sv := &Server{cfg: cfg, lru: list.New()}
 	sv.adm = newAdmission(cfg.MaxInflight, cfg.MaxQueue, &sv.ledger[ctrAdmitted], &sv.ledger[ctrRejected])
-	gfp := engine.GraphFingerprint(g, scheme)
-	sv.gen.Store(&generation{g: g, scheme: scheme, graphFP: gfp})
-	sv.lineage = engine.NewLineage(gfp)
+	gen := newGeneration(g, scheme, engine.GraphRowSum(g, scheme))
+	sv.gen.Store(gen)
+	sv.lineage = engine.NewLineage(gen.graphFP)
 	for i := range sv.shards {
 		sv.shards[i].m = make(map[pairKey]*entry)
 	}
